@@ -30,7 +30,6 @@ from repro.isa.instructions import (
     materialize_constant,
     mov_rr,
 )
-from repro.backend import target
 from repro.lir import ir
 from repro.target import get_target
 from repro.target.spec import TargetSpec
@@ -90,6 +89,10 @@ class FunctionISel:
         self._trap_div_label: Optional[str] = None
 
     # -- bookkeeping --------------------------------------------------------
+
+    def _ret_reg(self, is_float: bool) -> str:
+        cc = self.spec.cc
+        return cc.ret_fpr if is_float else cc.ret_gpr
 
     def _count_uses(self) -> Dict[int, int]:
         counts: Dict[int, int] = {}
@@ -202,7 +205,7 @@ class FunctionISel:
 
     def _emit_param_moves(self) -> None:
         flags = tuple(self.fn.param_is_float)
-        regs = target.assign_arg_registers(flags, self.spec)
+        regs = self.spec.cc.assign_arg_registers(flags)
         for value, reg, flt in zip(self.fn.params, regs, flags):
             if self.use_count.get(value, 0) == 0:
                 continue
@@ -440,7 +443,7 @@ class FunctionISel:
             callee_reg = self._reg_of(instr.callee_value)
             self.emit(mov_rr(self.call_scratch, callee_reg))
         flags = tuple(self._op_is_float(a) for a in instr.args)
-        regs = target.assign_arg_registers(flags, self.spec)
+        regs = self.spec.cc.assign_arg_registers(flags)
         for arg, reg, flt in zip(instr.args, regs, flags):
             if isinstance(arg, ir.Const):
                 self._materialize(arg, into=reg)
@@ -448,8 +451,7 @@ class FunctionISel:
                 self._emit_move(reg, self._vreg(arg), flt)
         implicit_defs: List[str] = []
         if instr.result is not None:
-            implicit_defs.append(
-                target.return_register(instr.ret_is_float, self.spec))
+            implicit_defs.append(self._ret_reg(instr.ret_is_float))
         if instr.throws:
             implicit_defs.append(self.error_reg)
         if indirect:
@@ -463,8 +465,7 @@ class FunctionISel:
         if instr.result is not None:
             is_float = instr.ret_is_float
             self._emit_move(self._vreg(instr.result),
-                            target.return_register(is_float, self.spec),
-                            is_float)
+                            self._ret_reg(is_float), is_float)
 
     def _sel_ReadError(self, instr: ir.ReadError, block_label: str) -> None:
         self.emit(mov_rr(self._vreg(instr.result), self.error_reg))
@@ -498,7 +499,7 @@ class FunctionISel:
     def _sel_Ret(self, instr: ir.Ret, block_label: str) -> None:
         if instr.value is not None:
             is_float = self._op_is_float(instr.value) or instr.is_float
-            reg = target.return_register(is_float, self.spec)
+            reg = self._ret_reg(is_float)
             if isinstance(instr.value, ir.Const):
                 self._materialize(instr.value, into=reg)
             else:

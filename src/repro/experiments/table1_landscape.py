@@ -75,25 +75,24 @@ def run(scale: str = "small", week: int = 0, rounds: int = 5) -> LandscapeResult
     spec = app_spec(scale, week=week)
     sources = generate_app(spec)
 
-    plain = BuildConfig(pipeline="wholeprogram", outline_rounds=0,
-                        enable_sil_outlining=False,
-                        enable_merge_functions=False, enable_fmsa=False)
-    base = build_app(spec, plain)
-    base_text = base.sizes.text_bytes
-
+    # Every row pins merge_mode, so $REPRO_MERGE never leaks into the
+    # baseline.
     def text_with(**overrides) -> int:
         cfg = BuildConfig(pipeline="wholeprogram", outline_rounds=0,
-                          enable_sil_outlining=False,
-                          enable_merge_functions=False, enable_fmsa=False)
+                          enable_sil_outlining=False, enable_fmsa=False,
+                          merge_mode="off")
         for key, value in overrides.items():
             setattr(cfg, key, value)
         return build_app(spec, cfg).sizes.text_bytes
 
+    base_text = text_with()
     clone_rate = source_clone_rate(sources)
     sil_saving = pct_saving(base_text, text_with(enable_sil_outlining=True))
-    merge_saving = pct_saving(base_text, text_with(enable_merge_functions=True))
+    merge_saving = pct_saving(base_text, text_with(merge_mode="exact"))
     fmsa_saving = pct_saving(base_text, text_with(enable_fmsa=True))
-    outlined = build_app(spec, optimized_config(rounds))
+    outlined_config = optimized_config(rounds)
+    outlined_config.merge_mode = "off"
+    outlined = build_app(spec, outlined_config)
     machine_saving = pct_saving(base_text, outlined.sizes.text_bytes)
 
     savings = {

@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backend.llc import LLCOptions, run_llc
 from repro.errors import ReproError
@@ -80,7 +80,13 @@ class BuildResult:
     program: Optional[ProgramInfo]
     registry: TypeRegistry
     config: BuildConfig
-    machine_modules: List[MachineModule]
+    #: The per-module machine IR, or a zero-argument loader for it: an
+    #: image-cache hit defers deserializing the listing until something
+    #: (disasm, the pattern miner) reads :attr:`machine_modules`, so a
+    #: warm no-op rebuild pays only for the linked image.
+    machine_listing: Union[List[MachineModule],
+                           Callable[[], List[MachineModule]]] = field(
+        default_factory=list)
     outline_stats: List[object] = field(default_factory=list)
     #: Baseline-pass observations (Table I): pass name -> metric dict.
     pass_reports: Dict[str, dict] = field(default_factory=dict)
@@ -98,25 +104,11 @@ class BuildResult:
             self._sizes = SizeReport.from_image(self.image)
         return self._sizes
 
-
-def _machine_modules_get(self) -> List[MachineModule]:
-    value = self.__dict__.get("_machine_modules")
-    if callable(value):
-        value = value() or []
-        self.__dict__["_machine_modules"] = value
-    return value
-
-
-def _machine_modules_set(self, value) -> None:
-    self.__dict__["_machine_modules"] = value
-
-
-#: ``machine_modules`` also accepts a zero-argument loader: an image-cache
-#: hit defers deserializing the per-module machine IR until something
-#: (disasm, the pattern miner) actually asks for it — a warm no-op rebuild
-#: then pays only for the linked image.
-BuildResult.machine_modules = property(_machine_modules_get,
-                                       _machine_modules_set)
+    @property
+    def machine_modules(self) -> List[MachineModule]:
+        if callable(self.machine_listing):
+            self.machine_listing = self.machine_listing() or []
+        return self.machine_listing
 
 
 def frontend_to_lir(sources: SourceModules) -> Tuple[ProgramInfo,
@@ -183,10 +175,6 @@ def _wholeprogram_passes(config: BuildConfig):
         passes.append(("inliner", inliner.run_on_module))
         if config.global_dce:
             passes.append(("globaldce", globaldce.run_on_module))
-    if config.enable_merge_functions:
-        from repro.lir.passes import mergefunctions
-
-        passes.append(("mergefunctions", mergefunctions.run_on_module))
     if config.enable_fmsa:
         from repro.lir.passes import fmsa
 
@@ -289,8 +277,7 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
         if module.entry_symbol:
             entry = module.entry_symbol
     result = BuildResult(image=None, program=program,  # type: ignore[arg-type]
-                         registry=registry, config=config,
-                         machine_modules=[], report=report)
+                         registry=registry, config=config, report=report)
     checkpoint(config.cancel_scope, "backend start")
     if config.pipeline == "wholeprogram":
         with report.phase("llvm-link"):
@@ -318,14 +305,14 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                 outline_rounds=config.outline_rounds,
                 collect_stats=config.collect_outline_stats,
                 target=config.target))
-        result.machine_modules = [llc_out.module]
+        result.machine_listing = [llc_out.module]
         result.outline_stats = llc_out.outline_stats
     elif config.pipeline == "default":
         n = len(lir_modules)
         llc_keys: Optional[List[str]] = None
         llc_hits: Dict[int, object] = {}
         if (cache is not None and module_keys is not None
-                and config.incremental_llc and len(module_keys) == n):
+                and len(module_keys) == n):
             llc_fp = config.llc_fingerprint()
             llc_keys = [cache_mod.llc_key(mk, llc_fp) for mk in module_keys]
             with report.phase("llc-cache-probe"):
@@ -359,25 +346,7 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                 _note_merge_stats(result, config, report)
         checkpoint(config.cancel_scope, "llc")
         with report.phase("llc"):
-            workers = parallel.resolve_workers(config.workers)
-            outputs = parallel.llc_modules(
-                miss_modules, config.outline_rounds,
-                config.collect_outline_stats, workers,
-                plan=config.fault_plan, report=report,
-                chunk_timeout=config.chunk_timeout,
-                max_retries=config.max_chunk_retries,
-                retry_backoff=config.retry_backoff,
-                fail_fast=config.fail_fast,
-                target=config.target,
-                cancel_scope=config.cancel_scope,
-                persistent=config.persistent_workers)
-            if outputs is None:  # workers <= 1: the serial path by design
-                outputs = [run_llc(module, LLCOptions(
-                    outline_rounds=config.outline_rounds,
-                    collect_stats=config.collect_outline_stats,
-                    outlined_name_prefix=f"{module.name}::",
-                    target=config.target))
-                    for module in miss_modules]
+            outputs = parallel.llc_modules(miss_modules, config, report)
             if llc_keys is not None:
                 for j, i in enumerate(missed):
                     cache.store(llc_keys[i], {"llc_out": outputs[j]})
@@ -586,8 +555,7 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
     fn_hits: Dict[str, Dict[str, lir_ir.LIRFunction]] = {}
     fn_key_map: Dict[str, List[Tuple[object, str]]] = {}
     content_keys: Dict[str, str] = {}
-    use_fn_cache = cache is not None and config.incremental_functions
-    if use_fn_cache:
+    if cache is not None:
         with report.phase("fn-cache-probe"):
             ffp = config.frontend_fingerprint()
             total_fns = 0
@@ -620,24 +588,8 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
     partial = [name for name in misses if name in fn_hits]
 
     with report.phase("lower"):
-        workers = parallel.resolve_workers(config.workers)
-        lowered = None
-        if workers > 1 and len(full_misses) > 1:
-            lowered = parallel.lower_modules(
-                sil_by_name, signatures, full_misses, workers,
-                plan=config.fault_plan, report=report,
-                chunk_timeout=config.chunk_timeout,
-                max_retries=config.max_chunk_retries,
-                retry_backoff=config.retry_backoff,
-                fail_fast=config.fail_fast,
-                cancel_scope=config.cancel_scope,
-                persistent=config.persistent_workers)
-        if lowered is None:
-            lowered = {}
-            for name in full_misses:
-                module = ModuleIRGen(sil_by_name[name], signatures).run()
-                optimize_module(module)
-                lowered[name] = module
+        lowered = parallel.lower_modules(sil_by_name, signatures,
+                                         full_misses, config, report)
         recompiled = sum(len(sil_by_name[name].functions)
                          for name in full_misses)
         for name in partial:
@@ -657,14 +609,12 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
                     if name in content_keys:
                         entry["fnsig"] = content_keys[name]
                     cache.store(key, entry)
-            if use_fn_cache:
-                for name in misses:
-                    hits = fn_hits.get(name, {})
-                    by_symbol = {fn.symbol: fn
-                                 for fn in lowered[name].functions}
-                    for silfn, key in fn_key_map[name]:
-                        if silfn.symbol not in hits:
-                            cache.store(key, by_symbol[silfn.symbol])
+            for name in misses:
+                hits = fn_hits.get(name, {})
+                by_symbol = {fn.symbol: fn for fn in lowered[name].functions}
+                for silfn, key in fn_key_map[name]:
+                    if silfn.symbol not in hits:
+                        cache.store(key, by_symbol[silfn.symbol])
         report.cache_stores = cache.stats.stores
 
     lir_modules = [cached[name]["lir"] if name in cached else lowered[name]
@@ -767,7 +717,7 @@ def _image_cache_probe(num_modules: int, config: BuildConfig,
     cached_result = BuildResult(
         image=entry["image"], program=None,
         registry=registry, config=config,
-        machine_modules=_machine_modules_loader(cache, mm_key),
+        machine_listing=_machine_modules_loader(cache, mm_key),
         outline_stats=entry.get("outline_stats", []),
         pass_reports=entry.get("pass_reports", {}),
         phase_work=entry.get("phase_work", {}),
@@ -786,8 +736,8 @@ def _backend_from_frontend(fe: _FrontendOutput, config: BuildConfig,
     llc_bases = fe.module_keys
     if fe.module_keys is not None and fe.llc_base_keys is not None:
         # Prefer the content identity; a module with no recorded content
-        # key (older entry shape, function cache off) falls back to its
-        # source-transitive module key.
+        # key (older entry shape) falls back to its source-transitive
+        # module key.
         llc_bases = [base if isinstance(base, str) else mk
                      for base, mk in zip(fe.llc_base_keys, fe.module_keys)]
     result = build_lir_modules(fe.lir_modules, config, registry=fe.registry,

@@ -16,12 +16,6 @@ Variable             BuildConfig field        Meaning
 ``REPRO_CACHE_DIR``  ``cache_dir``            Build-cache directory.
 ===================  =======================  ===============================
 
-The legacy readers (:func:`default_merge_mode`,
-:func:`~repro.target.default_target_name`, and the cache-dir fallback in
-:mod:`repro.pipeline.cache`) are kept as deprecation shims; new code
-should go through :func:`env_default` so the table above stays the single
-source of truth.
-
 Precedence
 ----------
 
@@ -71,12 +65,6 @@ def env_default(var: str) -> Optional[str]:
     return value or None
 
 
-def default_merge_mode() -> str:
-    """The default merge mode, honouring ``REPRO_MERGE`` if set (the CI
-    matrix axis, mirroring ``REPRO_TARGET``)."""
-    return env_default("REPRO_MERGE") or "off"
-
-
 @dataclass
 class BuildConfig:
     """Options shared by the default and whole-program pipelines.
@@ -103,7 +91,6 @@ class BuildConfig:
     gc_metadata_mode: str = "attributes"
     #: Baseline size optimizations (Table I rows).
     enable_sil_outlining: bool = False
-    enable_merge_functions: bool = False
     enable_fmsa: bool = False
     enable_arc_opt: bool = True
     #: Whole-program function merging stacked with the outliner:
@@ -111,8 +98,9 @@ class BuildConfig:
     #: (similarity-hash merging with priced thunks; see
     #: :mod:`repro.lir.passes.optmerge`).  Runs *after* the scalar cleanup
     #: passes so the merger prices exactly the LIR that llc compiles.
-    #: Defaults to ``$REPRO_MERGE`` or "off".
-    merge_mode: str = field(default_factory=default_merge_mode)
+    #: Defaults to ``$REPRO_MERGE`` (the CI matrix axis) or "off".
+    merge_mode: str = field(
+        default_factory=lambda: env_default("REPRO_MERGE") or "off")
     #: Strip functions unreachable from the entry point (app builds).
     #: Runs as an early LIR pass over the merged IR (whole-program
     #: pipeline only); see ``strip`` for the link-time machine-level
@@ -153,20 +141,10 @@ class BuildConfig:
     incremental: bool = False
     #: Cache location; None = $REPRO_CACHE_DIR or a tempdir default.
     cache_dir: Optional[str] = None
-    #: Layer per-function LIR entries under the module entries, so editing
-    #: one function relowers one function (the rest of its module is
-    #: assembled from cache).  Only consulted when ``incremental`` is on.
-    incremental_functions: bool = True
-    #: Cache per-module machine code (post-llc) under its own key in the
-    #: default pipeline, so a link-only change (layout flip, one-module
-    #: edit) re-links cached machine modules instead of re-running llc.
-    #: Only consulted when ``incremental`` is on.
-    incremental_llc: bool = True
     #: Keep the forked worker pool alive across builds in this process
-    #: (daemon / batch use) instead of fork+teardown per build.  Worker
-    #: payloads are then shipped per task rather than inherited via
-    #: fork-time copy-on-write; the fault ladder still tears the pool
-    #: down and rebuilds it on a crash.
+    #: (daemon / batch use) instead of fork+teardown per build.  Either
+    #: way each task ships its own payload; the fault ladder still tears
+    #: the pool down and rebuilds it on a crash.
     persistent_workers: bool = False
 
     # -- robustness knobs (never affect the produced binary) ----------------
@@ -210,7 +188,6 @@ class BuildConfig:
         return (f"target={spec.name}:{spec.fingerprint()[:12]};"
                 f"pipe={self.pipeline};rounds={self.outline_rounds};"
                 f"layout={self.data_layout};gc={self.gc_metadata_mode};"
-                f"merge={int(self.enable_merge_functions)};"
                 f"mergemode={self.merge_mode};"
                 f"fmsa={int(self.enable_fmsa)};"
                 f"gdce={int(self.global_dce)};"
@@ -322,10 +299,9 @@ PRESETS: Dict[str, Dict[str, object]] = {
 #: Build-speed / robustness fields that must never enter a fingerprint
 #: (used by tests to pin the bit-identity contract).
 SPEED_FIELDS = frozenset({
-    "workers", "incremental", "cache_dir", "incremental_functions",
-    "incremental_llc", "persistent_workers", "chunk_timeout",
-    "max_chunk_retries", "retry_backoff", "fail_fast", "fault_plan",
-    "cancel_scope",
+    "workers", "incremental", "cache_dir", "persistent_workers",
+    "chunk_timeout", "max_chunk_retries", "retry_backoff", "fail_fast",
+    "fault_plan", "cancel_scope",
 })
 
 

@@ -5,13 +5,13 @@ across modules), so the unit of parallelism is the *per-module lowering*
 that follows it: SIL -> LIR -> -Osize cleanups in the frontend, and
 per-module ``llc`` in the default (Figure 2) pipeline.
 
-Large read-only inputs (the SIL modules, the signature table, the LIR
-modules) are handed to workers through a module-level registry populated
-*before* the pool is created: with the ``fork`` start method the children
-inherit the parent's heap copy-on-write, so nothing but the small work
-lists and the results ever crosses a pipe.  Each concurrent build
-registers its payload under a distinct token, so two ``build_program``
-calls in different threads cannot clobber each other's shared state.
+Inputs reach a chunk one way: each task carries its own self-contained
+payload (the chunk's SIL modules plus a stubbed signature table for
+lowering, the chunk's LIR modules for llc).  The same payload feeds a
+per-build pool, the persistent cross-build pool, and the serial in-parent
+re-run, so concurrent builds share no payload state.  A request for one
+worker or one item runs the chunk function in this process, with no pool
+and no pickling.
 
 Failure handling is a ladder, not a cliff.  Each chunk independently gets:
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
-import itertools
 import multiprocessing
 import os
 import signal
@@ -47,28 +46,9 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.trace import Span, Tracer
 from repro.pipeline.cancel import CancelScope, checkpoint, clamp_timeout
+from repro.pipeline.config import BuildConfig
 from repro.pipeline.faults import FaultPlan
 from repro.pipeline.report import BuildReport
-
-#: Read-only payloads shared with forked workers, keyed by build token.
-#: Concurrent builds own distinct tokens; entries exist only while a
-#: parallel phase is in flight.
-_REGISTRY: Dict[int, Dict[str, object]] = {}
-_REGISTRY_LOCK = threading.Lock()
-_TOKENS = itertools.count(1)
-
-
-def _register(payload: Dict[str, object]) -> int:
-    with _REGISTRY_LOCK:
-        token = next(_TOKENS)
-        _REGISTRY[token] = payload
-    return token
-
-
-def _unregister(token: int) -> None:
-    with _REGISTRY_LOCK:
-        _REGISTRY.pop(token, None)
-
 
 #: Every live executor, so an interrupted build (KeyboardInterrupt,
 #: SIGTERM routed through an exception, daemon drain) can never leave
@@ -88,7 +68,8 @@ def _worker_init() -> None:
     ``terminate()`` into "raise KeyboardInterrupt, then run the parent's
     teardown logic against inherited pool state", which can deadlock on
     locks that were held at fork time instead of dying.  A build worker
-    must simply die on SIGTERM — that is how teardown kills it.
+    must simply die on SIGTERM — that is how the executor stops the
+    survivors of a pool whose worker crashed.
     """
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
@@ -100,8 +81,8 @@ def _worker_init() -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
         pass
-    # The inherited registry entries refer to the parent's pools; the
-    # child's atexit must not try to tear them down.
+    # The inherited pool set refers to the parent's pools; the child's
+    # atexit must not try to tear them down.
     _LIVE_POOLS.clear()
 
 
@@ -110,34 +91,39 @@ def _teardown_pool(pool) -> None:
 
     ``ProcessPoolExecutor.shutdown`` alone leaves running (or hung)
     workers alive; after an interrupt those become orphaned forks holding
-    copy-on-write heaps.  Termination is safe at every call site because
+    copy-on-write heaps.  Killing is safe at every call site because
     chunk work is pure and cache publication is atomic (a killed worker
     can at worst leave an unpublished temp file, which the cache reaps).
+    It is SIGKILL, not SIGTERM, because a worker forked a moment ago may
+    not have run :func:`_worker_init` yet: an inherited Python-level
+    SIGTERM handler would then unwind the parent's copied stack in the
+    child instead of ending it.
     """
-    # Grab the worker handles *before* shutdown: even with wait=False,
-    # shutdown() clears the executor's _processes map.
+    # Grab the worker and manager-thread handles *before* shutdown: even
+    # with wait=False, shutdown() clears them on the executor.
     processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
     for proc in processes:
         try:
-            proc.terminate()
+            proc.kill()
         except Exception:
             pass
-    # Reap, escalating to SIGKILL for anything that survives SIGTERM
-    # (e.g. a worker wedged beyond signal delivery): the bound keeps
-    # teardown prompt, and joining keeps dead workers from lingering as
-    # zombies in ``multiprocessing.active_children()``.
+    # Reap, so dead workers do not linger as zombies in
+    # ``multiprocessing.active_children()``.  The executor's manager
+    # thread reaps the same workers, and one it reaps first reads as
+    # still running here until that thread records its exit code, so
+    # wait for the thread too.  The bounds keep teardown prompt.
     for proc in processes:
         try:
             proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=5.0)
         except Exception:
             pass
+    if manager is not None:
+        manager.join(timeout=5.0)
     _LIVE_POOLS.discard(pool)
 
 
@@ -153,13 +139,11 @@ atexit.register(_terminate_live_pools)
 #
 # With ``BuildConfig.persistent_workers`` the executor is kept alive at
 # module level and reused by every subsequent build in this process (the
-# daemon, CLI batch runs), skipping the per-build fork+teardown.  The
-# children were forked *before* any given build's inputs existed, so
-# copy-on-write inheritance through ``_REGISTRY`` cannot reach them —
-# persistent tasks carry their own self-contained payload instead
-# (see ``_Task.payload``).  The fault ladder is unchanged: a dead or hung
-# persistent pool is retired (torn down and forgotten) and the next retry
-# round forks a fresh one.
+# daemon, CLI batch runs), skipping the per-build fork+teardown.  Tasks
+# carry their own payload, so a pool forked before this build existed
+# serves it exactly like a fresh one.  The fault ladder is unchanged: a
+# dead or hung persistent pool is retired (torn down and forgotten) and
+# the next retry round forks a fresh one.
 
 _PERSISTENT_LOCK = threading.Lock()
 _PERSISTENT_POOL = None
@@ -250,7 +234,7 @@ def _llc_chunk(payload: Dict[str, object],
     lir_modules = payload["lir_modules"]
     rounds = payload["outline_rounds"]
     collect = payload["collect_stats"]
-    target = payload.get("target")
+    target = payload["target"]
     out = []
     for i in indices:
         module = lir_modules[i]
@@ -270,19 +254,15 @@ _CHUNK_FUNCS = {"lower": _lower_chunk, "llc": _llc_chunk}
 
 @dataclass(frozen=True)
 class _Task:
-    """One chunk attempt shipped to a pool worker (small and picklable)."""
+    """One chunk attempt shipped to a pool worker, inputs included."""
 
     kind: str
-    token: int
     chunk: Tuple
+    #: Self-contained inputs for this chunk.
+    payload: Dict[str, object]
     index: int
     attempt: int
     plan: Optional[FaultPlan]
-    #: Self-contained inputs for this chunk.  ``None`` means "read the
-    #: fork-inherited ``_REGISTRY[token]``" (per-build pools, where the
-    #: children forked after registration); persistent pools forked
-    #: before this build existed, so their tasks must carry everything.
-    payload: Optional[Dict[str, object]] = None
 
     @property
     def site(self) -> str:
@@ -309,8 +289,6 @@ def _run_task(task: _Task):
     """Pool entry point.  Fault injection happens only here, in the worker
     process — the parent's serial re-runs call the chunk functions
     directly and are therefore immune by construction."""
-    payload = (task.payload if task.payload is not None
-               else _REGISTRY[task.token])
     if task.plan is not None:
         if task.plan.should_fire("worker_crash", task.site):
             os._exit(17)  # simulate a hard worker death (OOM-kill, segfault)
@@ -323,12 +301,12 @@ def _run_task(task: _Task):
                                     kind="worker-chunk", chunk=task.index,
                                     attempt=task.attempt,
                                     size=len(task.chunk)):
-                inner = _CHUNK_FUNCS[task.kind](payload, task.chunk)
+                inner = _CHUNK_FUNCS[task.kind](task.payload, task.chunk)
         result: object = _TracedChunk(result=inner,
                                       spans=worker_tracer.roots,
                                       metrics=worker_tracer.metrics.snapshot())
     else:
-        result = _CHUNK_FUNCS[task.kind](payload, task.chunk)
+        result = _CHUNK_FUNCS[task.kind](task.payload, task.chunk)
     if (task.plan is not None
             and task.plan.should_fire("pickle_failure", task.site)):
         return lambda: result  # lambdas don't pickle -> result send fails
@@ -338,26 +316,34 @@ def _run_task(task: _Task):
 # --- the degradation ladder --------------------------------------------------
 
 
-def run_chunks(kind: str, payload: Dict[str, object],
-               chunks: Sequence[Tuple], workers: int, *,
+def _degrade(report: Optional[BuildReport], event: str, phase: str,
+             detail: str, chunk: int = -1, attempt: int = 0) -> None:
+    if report is not None:
+        report.degrade(event, phase=phase, detail=detail, chunk=chunk,
+                       attempt=attempt)
+
+
+def run_chunks(kind: str, *, chunks: Sequence[Tuple],
+               chunk_payloads: Sequence[Dict[str, object]],
+               workers: int,
                plan: Optional[FaultPlan] = None,
                report: Optional[BuildReport] = None,
-               phase: str = "",
                chunk_timeout: Optional[float] = None,
                max_retries: int = 2,
                retry_backoff: float = 0.05,
                fail_fast: bool = False,
                cancel_scope: Optional[CancelScope] = None,
                persistent: bool = False,
-               chunk_payloads: Optional[Sequence[Dict[str, object]]] = None,
                ) -> List[object]:
     """Run every chunk to completion, degrading per-chunk as needed.
 
+    ``chunk_payloads[i]`` holds everything ``chunks[i]`` needs; it is
+    shipped with every pool attempt and reused by the serial re-run.
     Returns results aligned with ``chunks``.  Recoverable failures (worker
     crash, hang past ``chunk_timeout``, unpicklable result, no fork, pool
     creation failure) are absorbed by retry / serial re-run and recorded
-    on ``report``; only a failure of the serial in-parent re-run — a real
-    compiler error — propagates.
+    on ``report`` under phase ``kind``; only a failure of the serial
+    in-parent re-run — a real compiler error — propagates.
 
     With ``fail_fast=True`` the ladder is disabled: the first chunk
     failure raises a typed error (:class:`~repro.errors.WorkerCrashError`
@@ -366,50 +352,22 @@ def run_chunks(kind: str, payload: Dict[str, object],
     should be *noticed*, not papered over.
 
     With ``persistent=True`` the chunks run on the shared cross-build
-    pool (created on first use, reused afterwards); the caller must then
-    supply ``chunk_payloads`` — one self-contained payload per chunk —
-    because a pre-forked pool cannot see this build's registry entry.
+    pool (created on first use, reused afterwards) instead of a pool
+    private to this call.
     """
     if not chunks:
         return []
-    if persistent and chunk_payloads is None:
-        raise BuildError("persistent run_chunks requires chunk_payloads "
-                         "(pre-forked workers cannot inherit the registry)")
-    token = _register(payload)
-    try:
-        return _run_chunks_registered(
-            kind, payload, chunks, workers, token, plan=plan, report=report,
-            phase=phase, chunk_timeout=chunk_timeout, max_retries=max_retries,
-            retry_backoff=retry_backoff, fail_fast=fail_fast,
-            cancel_scope=cancel_scope, persistent=persistent,
-            chunk_payloads=chunk_payloads)
-    finally:
-        _unregister(token)
-
-
-def _degrade(report: Optional[BuildReport], kind: str, phase: str,
-             detail: str, chunk: int = -1, attempt: int = 0) -> None:
-    if report is not None:
-        report.degrade(kind, phase=phase, detail=detail, chunk=chunk,
-                       attempt=attempt)
-
-
-def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
-                           report, phase, chunk_timeout, max_retries,
-                           retry_backoff, fail_fast=False,
-                           cancel_scope=None, persistent=False,
-                           chunk_payloads=None) -> List[object]:
     results: Dict[int, object] = {}
     pending = list(range(len(chunks)))
 
     ctx = None
     if plan is not None and plan.fork_unavailable:
-        _degrade(report, "no-fork", phase, "fault injection: fork disabled")
+        _degrade(report, "no-fork", kind, "fault injection: fork disabled")
     else:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:
-            _degrade(report, "no-fork", phase,
+            _degrade(report, "no-fork", kind,
                      "platform has no fork start method")
 
     # The pool lives inside a try/finally: *any* exception leaving this
@@ -423,7 +381,7 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
             for attempt in range(max_retries + 1):
                 if not pending:
                     break
-                checkpoint(cancel_scope, f"{phase or kind} retry round")
+                checkpoint(cancel_scope, f"{kind} retry round")
                 if pool is None:
                     try:
                         if persistent:
@@ -434,7 +392,7 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
                                 mp_context=ctx, initializer=_worker_init)
                             _LIVE_POOLS.add(pool)
                     except Exception as exc:
-                        _degrade(report, "pool-unavailable", phase,
+                        _degrade(report, "pool-unavailable", kind,
                                  f"{type(exc).__name__}: {exc}")
                         break
                 if attempt and retry_backoff:
@@ -443,10 +401,9 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
                 for i in pending:
                     try:
                         futures[i] = pool.submit(_run_task, _Task(
-                            kind=kind, token=token, chunk=tuple(chunks[i]),
-                            index=i, attempt=attempt, plan=plan,
-                            payload=(chunk_payloads[i] if chunk_payloads
-                                     is not None else None)))
+                            kind=kind, chunk=tuple(chunks[i]),
+                            payload=chunk_payloads[i], index=i,
+                            attempt=attempt, plan=plan))
                     except BrokenProcessPool as exc:
                         # The pool can already be broken at submit time —
                         # a worker died after the previous round's results
@@ -455,10 +412,10 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
                         # mid-round, not an escape from the ladder.
                         if fail_fast:
                             raise WorkerCrashError(
-                                f"{phase or kind} chunk {i}: "
+                                f"{kind} chunk {i}: "
                                 f"{exc or 'pool broken at submit'}",
                                 chunk=i, attempt=attempt) from exc
-                        _degrade(report, "worker-crash", phase,
+                        _degrade(report, "worker-crash", kind,
                                  f"pool broken at submit: "
                                  f"{exc or 'worker process died'}",
                                  chunk=i, attempt=attempt)
@@ -478,10 +435,10 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
                     except concurrent.futures.TimeoutError:
                         if fail_fast:
                             raise WorkerCrashError(
-                                f"{phase or kind} chunk {i}: no result "
+                                f"{kind} chunk {i}: no result "
                                 f"within {wait_timeout:g}s",
                                 chunk=i, attempt=attempt)
-                        _degrade(report, "chunk-timeout", phase,
+                        _degrade(report, "chunk-timeout", kind,
                                  f"no result within {wait_timeout:g}s",
                                  chunk=i, attempt=attempt)
                         still.append(i)
@@ -489,10 +446,10 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
                     except BrokenProcessPool as exc:
                         if fail_fast:
                             raise WorkerCrashError(
-                                f"{phase or kind} chunk {i}: "
+                                f"{kind} chunk {i}: "
                                 f"{exc or 'worker process died'}",
                                 chunk=i, attempt=attempt)
-                        _degrade(report, "worker-crash", phase,
+                        _degrade(report, "worker-crash", kind,
                                  str(exc) or "worker process died",
                                  chunk=i, attempt=attempt)
                         still.append(i)
@@ -500,9 +457,9 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
                     except Exception as exc:
                         if fail_fast:
                             raise BuildError(
-                                f"{phase or kind} chunk {i} failed: "
+                                f"{kind} chunk {i} failed: "
                                 f"{type(exc).__name__}: {exc}") from exc
-                        _degrade(report, "chunk-error", phase,
+                        _degrade(report, "chunk-error", kind,
                                  f"{type(exc).__name__}: {exc}",
                                  chunk=i, attempt=attempt)
                         still.append(i)
@@ -525,13 +482,13 @@ def _run_chunks_registered(kind, payload, chunks, workers, token, *, plan,
     # chunk functions are pure, so the result is bit-identical to what a
     # healthy worker would have produced.
     for i in pending:
-        checkpoint(cancel_scope, f"{phase or kind} serial re-run")
-        _degrade(report, "chunk-serial-rerun", phase,
+        checkpoint(cancel_scope, f"{kind} serial re-run")
+        _degrade(report, "chunk-serial-rerun", kind,
                  "recompiled in parent after pool attempts exhausted",
                  chunk=i)
         with obs_trace.span(f"serial-rerun:{kind}", kind="chunk",
                             chunk=i, size=len(chunks[i])):
-            results[i] = _CHUNK_FUNCS[kind](payload, chunks[i])
+            results[i] = _CHUNK_FUNCS[kind](chunk_payloads[i], chunks[i])
 
     # Unwrap traced worker results, grafting their spans and metrics onto
     # the parent tracer *in chunk order* (pool completion order is not
@@ -560,10 +517,9 @@ def _signature_stubs(signatures: Dict[str, object]) -> Dict[str, object]:
     """Small picklable stand-ins for the whole-program signature table.
 
     Worker-side IRGen consults only callee parameter/return types
-    (``ret_is_float`` / ``arg_floats``), so bodies are dropped before
-    shipping the table to a persistent pool, which cannot inherit it via
-    fork-time copy-on-write.  Batching many modules per chunk (the
-    round-robin below) amortizes what pickling remains.
+    (``ret_is_float`` / ``arg_floats``), so bodies are dropped before the
+    table ships with every chunk.  Batching many modules per chunk (the
+    round-robin above) amortizes what pickling remains.
     """
     from repro.sil import sil
 
@@ -575,93 +531,62 @@ def _signature_stubs(signatures: Dict[str, object]) -> Dict[str, object]:
             for symbol, fn in signatures.items()}
 
 
+def _fan_out(kind: str, chunks: List[List], payloads: List[Dict[str, object]],
+             config: BuildConfig,
+             report: Optional[BuildReport]) -> List[Tuple]:
+    """Run chunks on a pool with the build's worker, fault and pool
+    knobs; returns the chunk results' (item, output) pairs, flattened."""
+    results = run_chunks(kind, chunks=chunks, chunk_payloads=payloads,
+                         workers=resolve_workers(config.workers),
+                         plan=config.fault_plan, report=report,
+                         chunk_timeout=config.chunk_timeout,
+                         max_retries=config.max_chunk_retries,
+                         retry_backoff=config.retry_backoff,
+                         fail_fast=config.fail_fast,
+                         cancel_scope=config.cancel_scope,
+                         persistent=config.persistent_workers)
+    return [pair for chunk_result in results for pair in chunk_result]
+
+
 def lower_modules(sil_by_name: Dict[str, object],
                   signatures: Dict[str, object],
-                  names: Sequence[str], workers: int, *,
-                  plan: Optional[FaultPlan] = None,
-                  report: Optional[BuildReport] = None,
-                  chunk_timeout: Optional[float] = None,
-                  max_retries: int = 2,
-                  retry_backoff: float = 0.05,
-                  fail_fast: bool = False,
-                  cancel_scope: Optional[CancelScope] = None,
-                  persistent: bool = False,
-                  ) -> Optional[Dict[str, object]]:
-    """Lower ``names`` to optimized LIR across ``workers`` processes.
+                  names: Sequence[str], config: BuildConfig,
+                  report: Optional[BuildReport] = None) -> Dict[str, object]:
+    """Lower ``names`` to optimized LIR: name -> LIRModule.
 
-    Returns name -> LIRModule, or None when the request is inherently
-    serial (``workers <= 1``) and the caller's serial path should run.
+    Fans out across ``config.workers`` processes; one worker or one
+    module lowers in this process.
     """
-    if workers <= 1:
-        return None
-    payload = {"sil_by_name": dict(sil_by_name),
-               "signatures": dict(signatures)}
-    chunks = _round_robin(list(names), workers)
-    chunk_payloads = None
-    if persistent:
-        stubs = _signature_stubs(signatures)
-        chunk_payloads = [{"sil_by_name": {n: sil_by_name[n] for n in chunk},
-                           "signatures": stubs}
-                          for chunk in chunks]
-    results = run_chunks("lower", payload, chunks, workers, plan=plan,
-                         report=report, phase="lower",
-                         chunk_timeout=chunk_timeout,
-                         max_retries=max_retries,
-                         retry_backoff=retry_backoff,
-                         fail_fast=fail_fast,
-                         cancel_scope=cancel_scope,
-                         persistent=persistent,
-                         chunk_payloads=chunk_payloads)
-    lowered: Dict[str, object] = {}
-    for chunk_result in results:
-        for name, module in chunk_result:
-            lowered[name] = module
-    return lowered
+    chunks = _round_robin(list(names), resolve_workers(config.workers))
+    if len(chunks) <= 1:
+        return dict(_lower_chunk({"sil_by_name": sil_by_name,
+                                  "signatures": signatures}, names))
+    stubs = _signature_stubs(signatures)
+    payloads = [{"sil_by_name": {n: sil_by_name[n] for n in chunk},
+                 "signatures": stubs}
+                for chunk in chunks]
+    return dict(_fan_out("lower", chunks, payloads, config, report))
 
 
 # --- backend: per-module llc (default pipeline) ------------------------------
 
 
-def llc_modules(lir_modules: Sequence[object], outline_rounds: int,
-                collect_stats: bool, workers: int, *,
-                plan: Optional[FaultPlan] = None,
-                report: Optional[BuildReport] = None,
-                chunk_timeout: Optional[float] = None,
-                max_retries: int = 2,
-                retry_backoff: float = 0.05,
-                fail_fast: bool = False,
-                target: Optional[str] = None,
-                cancel_scope: Optional[CancelScope] = None,
-                persistent: bool = False,
-                ) -> Optional[List[object]]:
-    """Run per-module llc in parallel; returns outputs in module order."""
-    if workers <= 1 or len(lir_modules) <= 1:
-        return None
-    payload = {"lir_modules": list(lir_modules),
-               "outline_rounds": outline_rounds,
-               "collect_stats": collect_stats,
-               "target": target}
-    chunks = _round_robin(list(range(len(lir_modules))), workers)
-    chunk_payloads = None
-    if persistent:
-        # The chunk function indexes ``lir_modules`` by module number, so
-        # a dict carrying just this chunk's modules is a drop-in.
-        chunk_payloads = [{"lir_modules": {i: lir_modules[i] for i in chunk},
-                           "outline_rounds": outline_rounds,
-                           "collect_stats": collect_stats,
-                           "target": target}
-                          for chunk in chunks]
-    results = run_chunks("llc", payload, chunks, workers, plan=plan,
-                         report=report, phase="llc",
-                         chunk_timeout=chunk_timeout,
-                         max_retries=max_retries,
-                         retry_backoff=retry_backoff,
-                         fail_fast=fail_fast,
-                         cancel_scope=cancel_scope,
-                         persistent=persistent,
-                         chunk_payloads=chunk_payloads)
-    ordered: List[object] = [None] * len(lir_modules)
-    for chunk_result in results:
-        for i, llc_out in chunk_result:
-            ordered[i] = llc_out
-    return ordered
+def llc_modules(lir_modules: Sequence[object], config: BuildConfig,
+                report: Optional[BuildReport] = None) -> List[object]:
+    """Per-module llc; returns outputs in module order.
+
+    Fans out across ``config.workers`` processes; one worker or one
+    module compiles in this process.
+    """
+    indices = list(range(len(lir_modules)))
+    chunks = _round_robin(indices, resolve_workers(config.workers))
+    payloads = [{"lir_modules": {i: lir_modules[i] for i in chunk},
+                 "outline_rounds": config.outline_rounds,
+                 "collect_stats": config.collect_outline_stats,
+                 "target": config.target}
+                for chunk in chunks]
+    if len(chunks) <= 1:
+        pairs = _llc_chunk(payloads[0], indices) if chunks else []
+    else:
+        pairs = _fan_out("llc", chunks, payloads, config, report)
+    return [llc_out for _, llc_out in sorted(pairs, key=lambda p: p[0])]

@@ -442,24 +442,18 @@ class CPU:
                 target = self.image.resolved_target[idx]
                 if self.timing is not None:
                     self.timing.on_taken_branch(pc, target)
-                if self.profile is not None:
-                    self.profile.on_taken_branch(pc)
                 next_pc = target
         elif op is Opcode.CBZX:
             if self._r(ops[0]) == 0:
                 target = self.image.resolved_target[idx]
                 if self.timing is not None:
                     self.timing.on_taken_branch(pc, target)
-                if self.profile is not None:
-                    self.profile.on_taken_branch(pc)
                 next_pc = target
         elif op is Opcode.CBNZX:
             if self._r(ops[0]) != 0:
                 target = self.image.resolved_target[idx]
                 if self.timing is not None:
                     self.timing.on_taken_branch(pc, target)
-                if self.profile is not None:
-                    self.profile.on_taken_branch(pc)
                 next_pc = target
         elif op is Opcode.BL:
             target = self.image.resolved_target[idx]

@@ -1,16 +1,10 @@
 """Execution profiles for profile-guided function layout.
 
 A :class:`ProfileCollector` rides along on a :class:`~repro.sim.cpu.CPU`
-run and records, at branch granularity only (the fetch/execute loop stays
-uninstrumented), every control transfer that crosses or conditions on a
-function boundary:
-
-* **caller -> callee call edges** (BL, BLR, and tail calls), the input to
-  the C3-style cluster-and-merge layout pass in
-  :mod:`repro.link.funclayout`;
-* **taken conditional branches per function**, the raw material for a
-  future basic-block layout pass (recorded now so profiles do not need a
-  format change later).
+run and records, at call opcodes only (the fetch/execute loop stays
+uninstrumented), every **caller -> callee call edge** (BL, BLR, and tail
+calls): the input to the C3-style cluster-and-merge layout pass in
+:mod:`repro.link.funclayout`.
 
 The serialized :class:`LayoutProfile` is keyed by *function name*, never
 by address, so a profile collected under one layout is valid input for
@@ -31,7 +25,7 @@ from typing import Dict, Optional, Tuple
 from repro.errors import ProfileError
 
 #: Bump when the serialized shape changes; load() rejects other versions.
-PROFILE_VERSION = 1
+PROFILE_VERSION = 2
 
 
 @dataclass
@@ -40,8 +34,6 @@ class LayoutProfile:
 
     #: caller name -> callee name -> dynamic call count.
     calls: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: function name -> taken conditional branches executed inside it.
-    taken_branches: Dict[str, int] = field(default_factory=dict)
     #: Target the profiled image was linked for (informational).
     target: str = ""
     #: Entry symbol the profiled run started from (informational).
@@ -61,7 +53,7 @@ class LayoutProfile:
 
     @property
     def num_functions(self) -> int:
-        names = set(self.calls) | set(self.taken_branches)
+        names = set(self.calls)
         for callees in self.calls.values():
             names.update(callees)
         return len(names)
@@ -77,7 +69,6 @@ class LayoutProfile:
             "entry": self.entry,
             "calls": {caller: dict(sorted(callees.items()))
                       for caller, callees in sorted(self.calls.items())},
-            "taken_branches": dict(sorted(self.taken_branches.items())),
         }
         return (json.dumps(payload, sort_keys=True,
                            separators=(",", ":")) + "\n").encode("utf-8")
@@ -120,10 +111,9 @@ class LayoutProfile:
                 f"profile {path!r} has version {version!r}; this toolchain "
                 f"reads version {PROFILE_VERSION}")
         calls = payload.get("calls", {})
-        taken = payload.get("taken_branches", {})
-        if not isinstance(calls, dict) or not isinstance(taken, dict):
-            raise ProfileError(f"profile {path!r}: 'calls' and "
-                               f"'taken_branches' must be objects")
+        if not isinstance(calls, dict):
+            raise ProfileError(f"profile {path!r}: 'calls' must be an "
+                               f"object")
         out_calls: Dict[str, Dict[str, int]] = {}
         for caller, callees in calls.items():
             if not isinstance(callees, dict):
@@ -135,15 +125,7 @@ class LayoutProfile:
                         f"profile {path!r}: calls[{caller!r}][{callee!r}] "
                         f"must be a non-negative int, got {count!r}")
             out_calls[str(caller)] = {str(k): v for k, v in callees.items()}
-        out_taken: Dict[str, int] = {}
-        for name, count in taken.items():
-            if not isinstance(count, int) or count < 0:
-                raise ProfileError(
-                    f"profile {path!r}: taken_branches[{name!r}] must be a "
-                    f"non-negative int, got {count!r}")
-            out_taken[str(name)] = count
-        return cls(calls=out_calls, taken_branches=out_taken,
-                   target=str(payload.get("target", "")),
+        return cls(calls=out_calls, target=str(payload.get("target", "")),
                    entry=str(payload.get("entry", "")))
 
 
@@ -165,20 +147,16 @@ class ProfileCollector:
 
     def __init__(self) -> None:
         self._call_pairs: Dict[Tuple[int, int], int] = {}
-        self._taken: Dict[int, int] = {}
 
-    # -- event hooks (called from CPU._execute on branch opcodes only) -----
+    # -- event hook (called from CPU._execute on call opcodes only) --------
 
     def on_call(self, src_pc: int, dst_addr: int) -> None:
         key = (src_pc, dst_addr)
         self._call_pairs[key] = self._call_pairs.get(key, 0) + 1
 
-    def on_taken_branch(self, src_pc: int) -> None:
-        self._taken[src_pc] = self._taken.get(src_pc, 0) + 1
-
     @property
     def raw_transfers(self) -> int:
-        return sum(self._call_pairs.values()) + sum(self._taken.values())
+        return sum(self._call_pairs.values())
 
     # -- resolution ---------------------------------------------------------
 
@@ -197,12 +175,5 @@ class ProfileCollector:
                 continue
             callees = calls.setdefault(caller.name, {})
             callees[callee.name] = callees.get(callee.name, 0) + count
-        taken: Dict[str, int] = {}
-        for src, count in sorted(self._taken.items()):
-            fn = image.function_at(src)
-            if fn is None:
-                continue
-            taken[fn.name] = taken.get(fn.name, 0) + count
-        return LayoutProfile(calls=calls, taken_branches=taken,
-                             target=image.target_name,
+        return LayoutProfile(calls=calls, target=image.target_name,
                              entry=entry or image.entry_symbol or "")

@@ -27,8 +27,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Iterable, List, Tuple
 
+from repro.errors import BackendError
 from repro.isa.instructions import (
     MachineFunction,
     MachineInstr,
@@ -73,6 +74,22 @@ class CallingConvention:
     scratch_gprs: Tuple[str, ...]
     scratch_fprs: Tuple[str, ...]
     max_reg_args: int = 8
+
+    def assign_arg_registers(self,
+                             arg_is_float: Tuple[bool, ...]) -> List[str]:
+        """Argument registers for a call, AAPCS64-style (separate int/fp
+        pools)."""
+        gprs = iter(self.arg_gprs)
+        fprs = iter(self.arg_fprs)
+        out: List[str] = []
+        for is_float in arg_is_float:
+            try:
+                out.append(next(fprs) if is_float else next(gprs))
+            except StopIteration:
+                raise BackendError(
+                    f"more than {self.max_reg_args} arguments of one class "
+                    "are not supported (no stack-argument lowering)") from None
+        return out
 
     def call_clobbers(self) -> Tuple[str, ...]:
         """Registers a call may clobber (caller-saved + error register)."""

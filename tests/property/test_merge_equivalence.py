@@ -229,14 +229,14 @@ func main() {
 @settings(max_examples=40, deadline=None, suppress_health_check=_SUPPRESS)
 @given(seed=st.integers(min_value=0, max_value=10 ** 9))
 def test_legacy_exact_passes_preserve_output(build_and_run, seed):
-    """`enable_merge_functions`/`enable_fmsa` (the Table I baselines) get
-    the same differential treatment as the new merge_mode stage, not just
-    structural unit checks."""
+    """The Table I baselines (`merge_mode="exact"` plus `enable_fmsa`)
+    get the same differential treatment as the other merge stages, not
+    just structural unit checks."""
     source = MergeProgramGenerator(seed).generate()
     _, base = build_and_run(
         source, BuildConfig(outline_rounds=0, merge_mode="off"))
     _, merged = build_and_run(
-        source, BuildConfig(outline_rounds=0, merge_mode="off",
-                            enable_merge_functions=True, enable_fmsa=True))
+        source, BuildConfig(outline_rounds=0, merge_mode="exact",
+                            enable_fmsa=True))
     assert merged.output == base.output
     assert merged.leaked == []

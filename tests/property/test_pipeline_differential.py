@@ -22,10 +22,10 @@ MINIMAL = BuildConfig(pipeline="wholeprogram", outline_rounds=0,
 #: pipeline variants that must not change observable behaviour.
 FULL_STACK = (
     BuildConfig(pipeline="wholeprogram", outline_rounds=5,
-                enable_sil_outlining=True, enable_merge_functions=True,
+                enable_sil_outlining=True, merge_mode="exact",
                 enable_fmsa=True, enable_inliner=True),
     BuildConfig(pipeline="wholeprogram", outline_rounds=3,
-                enable_sil_outlining=True, enable_merge_functions=True,
+                enable_sil_outlining=True, merge_mode="exact",
                 enable_fmsa=True, enable_inliner=True,
                 data_layout="interleaved", outlined_layout="near-callers"),
     BuildConfig(pipeline="default", outline_rounds=2,

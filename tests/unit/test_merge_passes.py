@@ -128,10 +128,9 @@ func dup1(x: Int) -> Int { return x * x + 1 }
 func dup2(x: Int) -> Int { return x * x + 1 }
 func main() { print(dup1(x: 3) + dup2(x: 4)) }
 """
-        _, plain = build_and_run(source, BuildConfig(
-            enable_merge_functions=False))
+        _, plain = build_and_run(source, BuildConfig(merge_mode="off"))
         merged_build, merged = build_and_run(source, BuildConfig(
-            enable_merge_functions=True))
+            merge_mode="exact"))
         assert plain.output == merged.output == ["27"]
         assert merged_build.pass_reports["mergefunctions"][
             "functions_merged"] >= 1

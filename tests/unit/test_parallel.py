@@ -1,6 +1,7 @@
 """Unit tests for the fault-tolerant chunk runner (pipeline/parallel.py):
-the degradation ladder, worker-count resolution, and shared-state safety
-for concurrent builds."""
+the degradation ladder, worker-count resolution, isolation of concurrent
+builds, and the one payload path shared by serial, per-build-pool and
+persistent-pool lowering and llc."""
 
 import os
 import threading
@@ -8,7 +9,7 @@ import threading
 import pytest
 
 from repro.errors import BuildError, WorkerCrashError
-from repro.pipeline import parallel
+from repro.pipeline import BuildConfig, parallel
 from repro.pipeline.faults import FaultPlan
 from repro.pipeline.report import BuildReport
 
@@ -24,8 +25,10 @@ def _test_kind(monkeypatch):
 
 
 def _run(chunks, *, plan=None, report=None, bias=0, workers=2, **kw):
-    return parallel.run_chunks("square", {"bias": bias}, chunks, workers,
-                               plan=plan, report=report,
+    return parallel.run_chunks("square", chunks=chunks,
+                               chunk_payloads=[{"bias": bias}
+                                               for _ in chunks],
+                               workers=workers, plan=plan, report=report,
                                retry_backoff=0.01, **kw)
 
 
@@ -148,20 +151,15 @@ class TestFailFast:
 
 
 class TestSharedStateIsolation:
-    def test_registry_is_cleared_after_a_run(self):
-        _run(CHUNKS)
-        assert parallel._REGISTRY == {}
-
     def test_concurrent_runs_do_not_clobber_each_other(self):
-        # Two builds in different threads share the module-level registry;
-        # distinct tokens must keep their payloads (bias) apart.
+        # Two builds in different threads, each on its own per-build pool,
+        # must keep their payloads (bias) apart.
         results = {}
         errors = []
 
         def build(bias):
             try:
-                results[bias] = parallel.run_chunks(
-                    "square", {"bias": bias}, CHUNKS, 2, retry_backoff=0.01)
+                results[bias] = _run(CHUNKS, bias=bias)
             except Exception as exc:  # pragma: no cover - diagnostic only
                 errors.append(exc)
 
@@ -294,17 +292,8 @@ class TestPersistentPool:
 
     def _run_persistent(self, *, workers=2, plan=None, report=None,
                         max_retries=2):
-        payloads = [{"bias": 0} for _ in CHUNKS]
-        return parallel.run_chunks("square", {"bias": 0}, CHUNKS, workers,
-                                   plan=plan, report=report,
-                                   retry_backoff=0.01,
-                                   max_retries=max_retries,
-                                   persistent=True, chunk_payloads=payloads)
-
-    def test_requires_chunk_payloads(self):
-        with pytest.raises(BuildError):
-            parallel.run_chunks("square", {"bias": 0}, CHUNKS, 2,
-                                persistent=True)
+        return _run(CHUNKS, workers=workers, plan=plan, report=report,
+                    max_retries=max_retries, persistent=True)
 
     def test_results_match_per_build_pool(self):
         assert self._run_persistent() == _run(CHUNKS)
@@ -344,3 +333,63 @@ class TestPersistentPool:
         # The pool comes back on demand.
         assert self._run_persistent() == EXPECTED
         assert parallel._PERSISTENT_POOL is not None
+
+
+class TestOnePayloadPath:
+    """Lowering and llc reach their chunk functions one way: serially in
+    this process, on a per-build pool, or on the persistent pool, every
+    case returns the same modules."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self):
+        parallel.shutdown_persistent_pool()
+        yield
+        parallel.shutdown_persistent_pool()
+
+    def test_serial_and_both_pools_return_identical_modules(self,
+                                                             monkeypatch):
+        import pickle
+
+        from repro.experiments.common import app_spec
+        from repro.frontend.parser import parse_module
+        from repro.frontend.sema import analyze_program
+        from repro.sil.silgen import generate_sil
+        from repro.workloads.appgen import generate_app
+
+        sources = generate_app(app_spec("tiny"))
+        program = analyze_program([parse_module(text, name)
+                                   for name, text in sources.items()])
+        sil_modules = generate_sil(program)
+        sil_by_name = {sm.name: sm for sm in sil_modules}
+        signatures = {fn.symbol: fn
+                      for sm in sil_modules for fn in sm.functions}
+        names = list(sil_by_name)
+        assert len(names) > 2
+
+        def lower_then_llc(config):
+            report = BuildReport()
+            lowered = parallel.lower_modules(sil_by_name, signatures, names,
+                                             config, report)
+            lir = [lowered[name] for name in names]
+            # llc rewrites its input in place; keep the lowered copy intact.
+            outputs = parallel.llc_modules(pickle.loads(pickle.dumps(lir)),
+                                           config, report)
+            assert report.degradations == []
+            return lir, outputs
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("one worker must not reach run_chunks")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(parallel, "run_chunks", no_pool)
+            serial = lower_then_llc(BuildConfig(outline_rounds=1, workers=1))
+        per_build = lower_then_llc(BuildConfig(outline_rounds=1, workers=2))
+        persistent = lower_then_llc(BuildConfig(outline_rounds=1, workers=2,
+                                                persistent_workers=True))
+        assert parallel._PERSISTENT_POOL is not None
+        for lir, outputs in (per_build, persistent):
+            assert lir == serial[0]
+            assert [o.module for o in outputs] == [o.module
+                                                   for o in serial[1]]
+            assert [o.outline_stats for o in outputs] == [
+                o.outline_stats for o in serial[1]]

@@ -46,13 +46,6 @@ class TestCollector:
         assert weights[(main, "Main::leaf")] == 1
         assert weights[("Main::mid", "Main::leaf")] == 14
 
-    def test_taken_branches_recorded_per_function(self):
-        """mid's loop back-edge is taken 6 times per call (7 iterations),
-        and the profile attributes them to mid, not its callees."""
-        result, collector = _collect(KNOWN_PROGRAM, outline_rounds=0)
-        profile = collector.finalize(result.image)
-        assert profile.taken_branches.get("Main::mid", 0) >= 12
-
     def test_runtime_calls_excluded(self):
         """BL to runtime stubs (print -> swift_* natives) resolves to no
         text function and must not appear in the profile."""
@@ -82,7 +75,6 @@ class TestSerialization:
         digest = profile.save(path)
         loaded = LayoutProfile.load(path)
         assert loaded.calls == profile.calls
-        assert loaded.taken_branches == profile.taken_branches
         assert loaded.target == profile.target
         assert loaded.entry == profile.entry
         assert loaded.digest() == digest == profile.digest()
@@ -99,8 +91,7 @@ class TestSerialization:
         assert a.digest() != b.digest()
 
     def test_file_digest_matches_in_memory_digest(self, tmp_path):
-        profile = LayoutProfile(calls={"f": {"g": 5}},
-                                taken_branches={"f": 2})
+        profile = LayoutProfile(calls={"f": {"g": 5}})
         path = str(tmp_path / "p.json")
         profile.save(path)
         assert profile_file_digest(path) == profile.digest()
@@ -125,22 +116,22 @@ class TestTypedErrors:
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "old.json"
-        path.write_bytes(b'{"version":%d,"calls":{},"taken_branches":{}}'
+        path.write_bytes(b'{"version":%d,"calls":{}}'
                          % (PROFILE_VERSION + 1))
         with pytest.raises(ProfileError, match="version"):
             LayoutProfile.load(str(path))
 
     def test_negative_count_rejected(self, tmp_path):
         path = tmp_path / "neg.json"
-        path.write_bytes(b'{"version":%d,"calls":{"f":{"g":-1}},'
-                         b'"taken_branches":{}}' % PROFILE_VERSION)
+        path.write_bytes(b'{"version":%d,"calls":{"f":{"g":-1}}}'
+                         % PROFILE_VERSION)
         with pytest.raises(ProfileError, match="non-negative"):
             LayoutProfile.load(str(path))
 
     def test_non_int_count_rejected(self, tmp_path):
         path = tmp_path / "str.json"
-        path.write_bytes(b'{"version":%d,"calls":{},'
-                         b'"taken_branches":{"f":"many"}}' % PROFILE_VERSION)
+        path.write_bytes(b'{"version":%d,"calls":{"f":{"g":"many"}}}'
+                         % PROFILE_VERSION)
         with pytest.raises(ProfileError, match="non-negative"):
             LayoutProfile.load(str(path))
 
