@@ -15,7 +15,9 @@ into regressions CI can catch:
   function-level cache);
 * the edit rebuild stays well under a cold build (whole-program sema is
   the irreducible floor);
-* peak RSS stays bounded.
+* peak RSS stays bounded;
+* the image runs leak-free, with the same output as the corpus built
+  without outlining (its 248 classes need type ids past 255).
 
 Scale with ``REPRO_SCALE_FEATURES`` (default 120 ≈ 3.6k functions /
 128 modules; raise it to approach the paper's 10k-function regime —
@@ -32,7 +34,7 @@ import os
 import resource
 import time
 
-from repro.pipeline import BuildConfig, build_program
+from repro.pipeline import BuildConfig, build_program, run_build
 from repro.workloads.appgen import (AppSpec, edit_function, generate_app,
                                     function_fingerprints)
 
@@ -124,3 +126,10 @@ def test_scale(tmp_path):
     assert edit_fraction <= MAX_EDIT_FRACTION_OF_COLD, (
         f"single-function edit rebuild cost {edit_fraction:.2f} of cold")
     assert peak_rss <= MAX_PEAK_RSS_MB, f"peak RSS {peak_rss:.0f} MB"
+
+    ran = run_build(cold)
+    assert ran.leaked == []
+    reference = build_program(sources, BuildConfig(
+        pipeline="default", outline_rounds=0, workers=0,
+        verify_image=False))
+    assert ran.output == run_build(reference).output

@@ -102,7 +102,7 @@ def _target_args(args) -> List[str]:
     return list(value) if isinstance(value, list) else [value]
 
 
-def _config_from_args(args, knob_table=_CLI_KNOBS):
+def _config_from_args(args):
     from repro.pipeline import BuildConfig
 
     # Multi---target slicing is handled by cmd_build/cmd_size (which null
@@ -113,7 +113,7 @@ def _config_from_args(args, knob_table=_CLI_KNOBS):
                              "slicing is a 'build'/'size' feature")
         args.target = args.target[0]
     knobs = {config_field: getattr(args, attr)
-             for attr, config_field in knob_table
+             for attr, config_field in _CLI_KNOBS
              if getattr(args, attr, None) is not None}
     plan = _fault_plan(args)
     if plan is not None:
@@ -320,22 +320,12 @@ def cmd_serve(args) -> int:
     return 0
 
 
-#: The submit subcommand ships only fingerprint-bearing knobs over the
-#: wire; build-speed knobs (workers, cache) are the daemon's to choose.
-_SUBMIT_KNOBS = (
-    ("pipeline", "pipeline"), ("rounds", "outline_rounds"),
-    ("target", "target"), ("merge", "merge_mode"),
-    ("data_layout", "data_layout"), ("verify_image", "verify_image"),
-)
-
-
 def _submit_config(args) -> Dict[str, object]:
-    config = _config_from_args(args, knob_table=_SUBMIT_KNOBS)
-    return {"pipeline": config.pipeline,
-            "outline_rounds": config.outline_rounds,
-            "target": config.target, "merge_mode": config.merge_mode,
-            "data_layout": config.data_layout,
-            "verify_image": config.verify_image}
+    """The wire fields of the config ``build`` would resolve from the same
+    flags and preset; speed and robustness knobs are the daemon's."""
+    from repro.service.protocol import config_to_wire
+
+    return config_to_wire(_config_from_args(args))
 
 
 def cmd_submit(args) -> int:
@@ -613,10 +603,6 @@ def main(argv=None) -> int:
                           choices=MERGE_MODES)
     p_submit.add_argument("--data-layout", default=None,
                           choices=("module-order", "interleaved"))
-    p_submit.add_argument("--verify-image", dest="verify_image",
-                          action="store_true", default=None)
-    p_submit.add_argument("--no-verify-image", dest="verify_image",
-                          action="store_false")
     p_submit.add_argument("--deadline", type=float, default=0.0,
                           help="per-job deadline seconds (0 = daemon "
                                "default)")

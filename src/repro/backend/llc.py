@@ -26,8 +26,6 @@ from repro.target.spec import TargetSpec
 class LLCOptions:
     #: Rounds of machine outlining (0 disables; the paper ships 5).
     outline_rounds: int = 0
-    #: Collect per-round outlining statistics (Table II).
-    collect_stats: bool = True
     #: Namespace for outlined symbols (per-module builds must use the module
     #: name so the system linker does not see clashing clones).
     outlined_name_prefix: str = ""
@@ -93,7 +91,6 @@ def run_llc(module: ir.LIRModule,
             from repro.outliner.repeated import repeated_outline
 
             stats = repeated_outline(machine, rounds=options.outline_rounds,
-                                     collect_stats=options.collect_stats,
                                      name_prefix=options.outlined_name_prefix,
                                      target=spec)
         trace.metrics().inc("llc.modules")

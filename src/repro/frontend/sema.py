@@ -41,13 +41,7 @@ from repro.frontend.types import (
     Type,
     assignable,
 )
-
-# Reserved runtime type ids; user classes start at FIRST_CLASS_TYPE_ID.
-TYPE_ID_ARRAY = 1
-TYPE_ID_STRING = 2
-TYPE_ID_CLOSURE = 3
-TYPE_ID_BOX = 4
-FIRST_CLASS_TYPE_ID = 16
+from repro.runtime.layout import FIRST_CLASS_TYPE_ID, MAX_CLASS_TYPE_ID
 
 #: Builtin free functions: name -> (param types, return type).
 BUILTIN_SIGNATURES: Dict[str, Tuple[Tuple[Type, ...], Type]] = {
@@ -169,6 +163,11 @@ class Sema:
                 raise SemaError(f"duplicate class {cls.name!r} in {module.name}",
                                 cls.line, cls.column)
             qual = f"{module.name}::{cls.name}"
+            if self._next_type_id > MAX_CLASS_TYPE_ID:
+                raise SemaError(
+                    f"too many classes: {qual} would need type id "
+                    f"{self._next_type_id}, past the object header's "
+                    f"limit of {MAX_CLASS_TYPE_ID}", cls.line, cls.column)
             cls.qualified_name = qual
             cls.type_id = self._next_type_id
             self._next_type_id += 1

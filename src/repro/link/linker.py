@@ -227,7 +227,8 @@ def _emit_global(image: BinaryImage, gbl: MachineGlobal, addr: int) -> int:
         values = gbl.values
         buf = addr + layout.ARRAY_OBJECT_BYTES
         kind = layout.ELEM_FLOAT if gbl.elem_is_float else layout.ELEM_PLAIN
-        mem[addr + layout.HEADER_TYPEID] = (layout.TYPE_ID_ARRAY | (kind << 8))
+        mem[addr + layout.HEADER_TYPEID] = layout.pack_typeid(
+            layout.TYPE_ID_ARRAY, kind)
         mem[addr + layout.HEADER_RC] = layout.IMMORTAL_RC
         mem[addr + layout.ARRAY_COUNT] = len(values)
         mem[addr + layout.ARRAY_CAPACITY] = len(values)

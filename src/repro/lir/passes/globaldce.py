@@ -30,36 +30,44 @@ case: they are only entered via their call sites, which are edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from typing import Callable, Dict, Iterable, List, Set
 
 from repro.lir import ir
 
 
+def _reachable(root: str,
+               successors: Callable[[str], Iterable[str]]) -> Set[str]:
+    """*root* and every name reachable from it through *successors* (the
+    one worklist closure both passes share)."""
+    reachable: Set[str] = set()
+    work = [root]
+    while work:
+        name = work.pop()
+        if name not in reachable:
+            reachable.add(name)
+            work.extend(successors(name))
+    return reachable
+
+
 def run_on_module(module: ir.LIRModule) -> int:
     """Returns the number of functions removed."""
-    if module.entry_symbol is None:
-        return 0
     by_symbol: Dict[str, ir.LIRFunction] = {
         fn.symbol: fn for fn in module.functions
     }
     if module.entry_symbol not in by_symbol:
         return 0
-    reachable: Set[str] = set()
-    work = [module.entry_symbol]
-    while work:
-        symbol = work.pop()
-        if symbol in reachable or symbol not in by_symbol:
-            continue
-        reachable.add(symbol)
+
+    def successors(symbol: str) -> Iterable[str]:
         for instr in by_symbol[symbol].instructions():
-            if isinstance(instr, ir.Call) and instr.callee:
-                work.append(instr.callee)
-            elif isinstance(instr, ir.FuncAddr):
-                work.append(instr.symbol)
-    removed = len(module.functions) - len(
-        [fn for fn in module.functions if fn.symbol in reachable])
-    module.functions = [fn for fn in module.functions
-                        if fn.symbol in reachable]
+            if isinstance(instr, ir.Call) and instr.callee in by_symbol:
+                yield instr.callee
+            elif isinstance(instr, ir.FuncAddr) and instr.symbol in by_symbol:
+                yield instr.symbol
+
+    reachable = _reachable(module.entry_symbol, successors)
+    kept = [fn for fn in module.functions if fn.symbol in reachable]
+    removed = len(module.functions) - len(kept)
+    module.functions = kept
     return removed
 
 
@@ -104,20 +112,12 @@ def strip_program(machine_modules, entry_symbol, spec) -> StripStats:
     for module in machine_modules:
         for fn in module.functions:
             by_name[fn.name] = fn
-    if entry_symbol is None or entry_symbol not in by_name:
+    if entry_symbol not in by_name:
         return stats
-    reachable: Set[str] = set()
-    work = [entry_symbol]
-    while work:
-        name = work.pop()
-        if name in reachable:
-            continue
-        reachable.add(name)
-        for instr in by_name[name].instructions():
-            for op in instr.operands:
-                if isinstance(op, Sym) and op.name in by_name:
-                    if op.name not in reachable:
-                        work.append(op.name)
+    reachable = _reachable(entry_symbol, lambda name: (
+        op.name for instr in by_name[name].instructions()
+        for op in instr.operands
+        if isinstance(op, Sym) and op.name in by_name))
     for module in machine_modules:
         dead = [fn for fn in module.functions if fn.name not in reachable]
         if not dead:

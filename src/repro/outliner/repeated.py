@@ -40,19 +40,17 @@ class OutlineRoundStats:
 
 
 def repeated_outline(module: MachineModule, rounds: int = 5,
-                     collect_stats: bool = True, name_counter=None,
-                     name_prefix: str = "",
+                     name_counter=None, name_prefix: str = "",
                      target: Optional[TargetSpec] = None,
                      incremental: Optional[bool] = None) -> List[OutlineRoundStats]:
     """Run up to *rounds* outlining rounds over a whole machine module."""
     return repeated_outline_functions(module.functions, rounds,
-                                      collect_stats, name_counter,
-                                      name_prefix, target, incremental)
+                                      name_counter, name_prefix, target,
+                                      incremental)
 
 
 def repeated_outline_functions(functions: List[MachineFunction],
-                               rounds: int = 5, collect_stats: bool = True,
-                               name_counter=None,
+                               rounds: int = 5, name_counter=None,
                                name_prefix: str = "",
                                target: Optional[TargetSpec] = None,
                                incremental: Optional[bool] = None) -> List[OutlineRoundStats]:
@@ -94,15 +92,14 @@ def repeated_outline_functions(functions: List[MachineFunction],
         total_fns += stats.functions_created
         total_bytes += stats.outlined_fn_bytes
         total_saved += stats.bytes_saved
-        if collect_stats:
-            cumulative.append(OutlineRoundStats(
-                round_no=round_no,
-                sequences_outlined=total_seqs,
-                functions_created=total_fns,
-                outlined_fn_bytes=total_bytes,
-                bytes_saved=total_saved,
-                round_detail=stats,
-            ))
+        cumulative.append(OutlineRoundStats(
+            round_no=round_no,
+            sequences_outlined=total_seqs,
+            functions_created=total_fns,
+            outlined_fn_bytes=total_bytes,
+            bytes_saved=total_saved,
+            round_detail=stats,
+        ))
         if stats.functions_created == 0:
             break
     return cumulative

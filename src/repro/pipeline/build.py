@@ -283,8 +283,7 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
         with report.phase("llvm-link"):
             merged = link_modules(
                 lir_modules,
-                LinkOptions(gc_metadata_mode=config.gc_metadata_mode,
-                            data_layout=config.data_layout))
+                LinkOptions(data_layout=config.data_layout))
         with report.phase("opt"):
             # Whole-program opt over the merged IR, with per-pass spans
             # and instruction/function deltas recorded by the manager.
@@ -303,7 +302,6 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
         with report.phase("llc"):
             llc_out = run_llc(merged, LLCOptions(
                 outline_rounds=config.outline_rounds,
-                collect_stats=config.collect_outline_stats,
                 target=config.target))
         result.machine_listing = [llc_out.module]
         result.outline_stats = llc_out.outline_stats
@@ -311,6 +309,9 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
         n = len(lir_modules)
         llc_keys: Optional[List[str]] = None
         llc_hits: Dict[int, object] = {}
+        # module index -> its merge-stage pass reports, cached with its
+        # machine code so a warm build sums the same totals as a cold one.
+        merge_reports: Dict[int, Dict[str, dict]] = {}
         if (cache is not None and module_keys is not None
                 and len(module_keys) == n):
             llc_fp = config.llc_fingerprint()
@@ -320,6 +321,7 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                     llc_entry = cache.load(key)
                     if _valid_llc_entry(llc_entry):
                         llc_hits[i] = llc_entry["llc_out"]
+                        merge_reports[i] = llc_entry["merge_reports"]
             report.llc_cache_hits = len(llc_hits)
             report.llc_cache_misses = n - len(llc_hits)
         missed = [i for i in range(n) if i not in llc_hits]
@@ -332,24 +334,25 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
 
                     for module in miss_modules:
                         inliner.run_on_module(module)
-                for name, _ in merge_stack:
-                    result.pass_reports.setdefault(name, {})
-                for module in miss_modules:
+                for i in missed:
                     # Merging is per-module here (mirroring per-module llc);
                     # the manager still records spans and deltas per run.
-                    reports = PassManager(merge_stack,
-                                          scope="module").run(module)
-                    for name, pass_report in reports.items():
-                        agg = result.pass_reports[name]
-                        for key, value in dict(pass_report).items():
-                            agg[key] = agg.get(key, 0) + value
-                _note_merge_stats(result, config, report)
+                    merge_reports[i] = PassManager(
+                        merge_stack, scope="module").run(lir_modules[i])
+        for name, _ in merge_stack:
+            agg = result.pass_reports[name] = {}
+            for i in range(n):
+                for key, value in merge_reports[i][name].items():
+                    agg[key] = agg.get(key, 0) + value
+        _note_merge_stats(result, config, report)
         checkpoint(config.cancel_scope, "llc")
         with report.phase("llc"):
             outputs = parallel.llc_modules(miss_modules, config, report)
             if llc_keys is not None:
                 for j, i in enumerate(missed):
-                    cache.store(llc_keys[i], {"llc_out": outputs[j]})
+                    cache.store(llc_keys[i], {
+                        "llc_out": outputs[j],
+                        "merge_reports": merge_reports.get(i, {})})
             by_index = dict(zip(missed, outputs))
             by_index.update(llc_hits)
             for i in range(n):
@@ -631,7 +634,8 @@ def _valid_llc_entry(entry: object) -> bool:
     from repro.backend.llc import LLCResult
 
     return (isinstance(entry, dict)
-            and isinstance(entry.get("llc_out"), LLCResult))
+            and isinstance(entry.get("llc_out"), LLCResult)
+            and isinstance(entry.get("merge_reports"), dict))
 
 
 def _valid_image_entry(entry: object) -> bool:
@@ -836,7 +840,6 @@ def _artifact_fingerprint(items: List[Tuple[str, str]],
                           config: BuildConfig) -> str:
     h = hashlib.sha256()
     h.update(config.frontend_fingerprint().encode("utf-8"))
-    h.update(b"|coupling=%d|" % int(config.enable_sil_outlining))
     for name, text in items:
         h.update(name.encode("utf-8"))
         h.update(b"\x00")

@@ -12,7 +12,7 @@ to an input produces a different key (never a stale hit):
   - the module's source text,
   - the sources of its transitive imports (headers, folded constants),
   - the type-id/closure-counter bases contributed by every earlier module,
-  - the :class:`BuildConfig` fields that affect frontend codegen, and
+  - the frontend-tagged :class:`BuildConfig` fields, and
   - :data:`PIPELINE_CACHE_VERSION`.
 
 * **Linked image** — the fully linked :class:`BinaryImage` (plus machine
@@ -59,7 +59,9 @@ from repro.pipeline.faults import FaultPlan
 #: "4": the image entry carries class layouts and sheds its machine
 #: listing into an "imgmm" sidecar, so an image hit deserializes only
 #: the linked image.
-PIPELINE_CACHE_VERSION = "4"
+#: "5": config fingerprints are rendered from the BuildConfig stage tags,
+#: and per-module machine-code entries carry their merge-pass reports.
+PIPELINE_CACHE_VERSION = "5"
 
 
 def fingerprint_source(text: str) -> str:
@@ -209,9 +211,9 @@ def function_key(frontend_fingerprint: str, fn_digest: str,
 def llc_key(module_key: str, llc_fingerprint: str) -> str:
     """Cache key for one module's compiled machine code (post-llc).
 
-    Keyed by the module's LIR key plus only the backend fields that change
-    machine code — link-time fields (layout, profile) are excluded so a
-    layout flip re-links cached machine modules without re-running llc.
+    Keyed by the module's LIR key plus only the llc-tagged config fields —
+    link-tagged fields (layout, profile) are excluded so a layout flip
+    re-links cached machine modules without re-running llc.
     """
     return _digest("mllc", PIPELINE_CACHE_VERSION, llc_fingerprint,
                    module_key)

@@ -30,8 +30,8 @@ flag — the CLI uses ``None``-sentinel defaults to tell "explicit" from
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, Optional
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Callable, Dict, Optional
 
 from repro.errors import ReproError
 from repro.pipeline.faults import FaultPlan
@@ -65,6 +65,54 @@ def env_default(var: str) -> Optional[str]:
     return value or None
 
 
+#: The cache stage each BuildConfig field is tagged with: the one source
+#: for every cache key, :data:`SPEED_FIELDS` and the daemon's wire fields.
+#: "frontend" enters the module and function keys; "llc" per-module
+#: machine code, and so also the image key; "link" the image key only;
+#: "speed" and "robustness" no key (builds are bit-identical across them).
+STAGES = ("frontend", "llc", "link", "speed", "robustness")
+
+
+def _stage(stage: str, default=MISSING, *, default_factory=MISSING,
+           key: Callable[[object], str] = repr):
+    """A BuildConfig field tagged with the cache *stage* it enters; *key*
+    renders the field's value into that stage's fingerprint."""
+    return field(default=default, default_factory=default_factory,
+                 metadata={"stage": stage, "key": key})
+
+
+def _partitioned(cls):
+    """Fail at import when a field carries no :data:`STAGES` tag, so a new
+    knob cannot silently stay out of every cache key."""
+    untagged = [f.name for f in fields(cls)
+                if f.metadata.get("stage") not in STAGES]
+    if untagged:
+        raise TypeError(f"{cls.__name__} field(s) without a cache stage "
+                        f"tag: {', '.join(untagged)}")
+    return cls
+
+
+def _target_key(name: str) -> str:
+    """A target keys as its name plus its spec fingerprint, so a change to
+    a target's widths or cost model invalidates that target's entries."""
+    from repro.target import get_target
+
+    spec = get_target(name)
+    return f"{spec.name}:{spec.fingerprint()[:12]}"
+
+
+def _profile_key(path: Optional[str]) -> str:
+    """A layout profile keys as its content digest, not its path, so keys
+    are stable across checkouts; a corrupt profile raises
+    :class:`~repro.errors.ProfileError` here, before it can key an entry."""
+    if path is None:
+        return "none"
+    from repro.sim.profile import profile_file_digest
+
+    return profile_file_digest(path)[:12]
+
+
+@_partitioned
 @dataclass
 class BuildConfig:
     """Options shared by the default and whole-program pipelines.
@@ -72,40 +120,39 @@ class BuildConfig:
     ``pipeline`` selects Figure 2 ("default": each module lowered to machine
     code independently) or Figure 10 ("wholeprogram": LIR from every module
     merged by llvm-link, optimized once, then lowered by a single llc run).
+    Every field is tagged with the cache stage it enters (:data:`STAGES`).
     """
 
-    pipeline: str = "wholeprogram"  # "default" | "wholeprogram"
+    pipeline: str = _stage("llc", "wholeprogram")  # or "default"
     #: Target specification name (see :mod:`repro.target`); defaults to
     #: ``$REPRO_TARGET`` or "arm64".  Changes instruction widths, alignment
-    #: and the outliner's cost model, so it is part of the backend
-    #: fingerprint (two targets never share an image-cache entry).
-    target: str = field(default_factory=default_target_name)
+    #: and the outliner's cost model.
+    target: str = _stage("llc", default_factory=default_target_name,
+                         key=_target_key)
     #: Rounds of machine outlining; 0 disables.  In the default pipeline
     #: outlining runs per module; in the whole-program pipeline it sees the
     #: entire program (the paper's key distinction, Figure 12).
-    outline_rounds: int = 0
+    outline_rounds: int = _stage("llc", 0)
     #: llvm-link data-layout mode: "module-order" (paper's fix) or
     #: "interleaved" (upstream behaviour causing the §VI-3 regression).
-    data_layout: str = "module-order"
-    #: llvm-link GC-metadata mode: "attributes" (fixed) or "monolithic".
-    gc_metadata_mode: str = "attributes"
+    data_layout: str = _stage("link", "module-order")
     #: Baseline size optimizations (Table I rows).
-    enable_sil_outlining: bool = False
-    enable_fmsa: bool = False
-    enable_arc_opt: bool = True
+    enable_sil_outlining: bool = _stage("frontend", False)
+    enable_fmsa: bool = _stage("link", False)
+    enable_arc_opt: bool = _stage("frontend", True)
     #: Whole-program function merging stacked with the outliner:
     #: "off", "exact" (bit-identical dedup only), or "optimistic"
     #: (similarity-hash merging with priced thunks; see
     #: :mod:`repro.lir.passes.optmerge`).  Runs *after* the scalar cleanup
     #: passes so the merger prices exactly the LIR that llc compiles.
     #: Defaults to ``$REPRO_MERGE`` (the CI matrix axis) or "off".
-    merge_mode: str = field(
-        default_factory=lambda: env_default("REPRO_MERGE") or "off")
+    merge_mode: str = _stage(
+        "llc", default_factory=lambda: env_default("REPRO_MERGE") or "off")
     #: Strip functions unreachable from the entry point (app builds).
     #: Runs as an early LIR pass over the merged IR (whole-program
     #: pipeline only); see ``strip`` for the link-time machine-level
     #: equivalent that works in both pipeline shapes.
-    global_dce: bool = True
+    global_dce: bool = _stage("link", True)
     #: Link-time whole-program stripping: "off" or "program" (remove
     #: machine functions unreachable from the entry symbol through calls
     #: and address-taken references, right before the system link).
@@ -113,107 +160,82 @@ class BuildConfig:
     #: including outlined and merged functions — so it catches dead code
     #: the early LIR pass cannot (see
     #: :func:`repro.lir.passes.globaldce.strip_program`).
-    strip: str = "off"
-    #: Collect per-round outlining statistics (Table II).
-    collect_outline_stats: bool = True
+    strip: str = _stage("link", "off")
     #: Text layout of outlined functions: "appended" (what the paper
     #: shipped) or "near-callers" (the paper's future work #3).
-    outlined_layout: str = "appended"
+    outlined_layout: str = _stage("link", "appended")
     #: Whole-image function ordering (see :mod:`repro.link.funclayout`):
     #: "source" (link order), "callgraph-c3" (profile-guided call-chain
     #: clustering), or "random" (seeded control arm).  "near-callers"
     #: composes only with "source"; the linker rejects other combinations.
-    layout: str = "source"
-    #: Seed for ``layout="random"``; part of the backend fingerprint.
-    layout_seed: int = 0
+    layout: str = _stage("link", "source")
+    #: Seed for ``layout="random"``.
+    layout_seed: int = _stage("link", 0)
     #: Path to a serialized :class:`~repro.sim.profile.LayoutProfile` that
     #: feeds "callgraph-c3" edge weights; None = static call-site census.
-    #: The profile's content digest (not the path) enters the backend
-    #: fingerprint, so two builds with equal profiles share cache entries.
-    profile_path: Optional[str] = None
+    #: Its content digest (not the path) enters the image key, so two
+    #: builds with equal profiles share cache entries.
+    profile_path: Optional[str] = _stage("link", None, key=_profile_key)
     #: -Osize trivial inliner at the LIR level (future work #2 interaction).
-    enable_inliner: bool = False
+    enable_inliner: bool = _stage("llc", False)
 
     # -- build-speed knobs (never affect the produced binary) ---------------
     #: Worker processes for per-module lowering (1 = serial, 0 = auto).
-    workers: int = 1
+    workers: int = _stage("speed", 1)
     #: Consult/populate the content-addressed build cache.
-    incremental: bool = False
+    incremental: bool = _stage("speed", False)
     #: Cache location; None = $REPRO_CACHE_DIR or a tempdir default.
-    cache_dir: Optional[str] = None
+    cache_dir: Optional[str] = _stage("speed", None)
     #: Keep the forked worker pool alive across builds in this process
     #: (daemon / batch use) instead of fork+teardown per build.  Either
     #: way each task ships its own payload; the fault ladder still tears
     #: the pool down and rebuilds it on a crash.
-    persistent_workers: bool = False
+    persistent_workers: bool = _stage("speed", False)
 
     # -- robustness knobs (never affect the produced binary) ----------------
     #: Run the post-link binary verifier on every build and every
     #: image-cache hit; a failure raises ImageVerifierError instead of
     #: returning a structurally wrong binary.
-    verify_image: bool = True
+    verify_image: bool = _stage("robustness", True)
     #: Deadline in seconds for one parallel compilation chunk; a chunk
     #: that misses it is retried and finally recompiled serially in the
     #: parent.  None disables the deadline (a hung worker then hangs the
     #: build).
-    chunk_timeout: Optional[float] = 60.0
+    chunk_timeout: Optional[float] = _stage("robustness", 60.0)
     #: In-pool retries per chunk before the serial in-parent re-run.
-    max_chunk_retries: int = 2
+    max_chunk_retries: int = _stage("robustness", 2)
     #: Base backoff in seconds between chunk retry rounds.
-    retry_backoff: float = 0.05
+    retry_backoff: float = _stage("robustness", 0.05)
     #: Disable the degradation ladder: the first chunk failure raises a
     #: typed WorkerCrashError/BuildError instead of retrying.  Useful in
     #: CI, where a flaky worker should be noticed rather than absorbed.
-    fail_fast: bool = False
+    fail_fast: bool = _stage("robustness", False)
     #: Seeded fault-injection schedule (tests/CI only; None = no faults).
-    fault_plan: Optional[FaultPlan] = None
+    fault_plan: Optional[FaultPlan] = _stage("robustness", None)
     #: Cooperative cancellation/deadline scope for this build
     #: (:class:`~repro.pipeline.cancel.CancelScope`); checked at phase
     #: boundaries and between chunk-retry rounds.  The daemon gives every
     #: job its own scope; ``None`` (the one-shot CLI) never cancels.
-    cancel_scope: Optional[object] = None
+    cancel_scope: Optional[object] = _stage("robustness", None)
+
+    def _fingerprint(self, *stages: str) -> str:
+        return ";".join(
+            f"{f.name}={f.metadata['key'](getattr(self, f.name))}"
+            for f in fields(self) if f.metadata["stage"] in stages)
 
     def frontend_fingerprint(self) -> str:
-        """Config fields that change per-module LIR (module cache key)."""
-        return (f"arc={int(self.enable_arc_opt)};"
-                f"siloutline={int(self.enable_sil_outlining)}")
-
-    def backend_fingerprint(self) -> str:
-        """Config fields that change the linked image given module LIR
-        (image cache key).  ``workers``/``incremental``/``cache_dir`` are
-        deliberately absent: builds must be bit-identical across them."""
-        from repro.target import get_target
-
-        spec = get_target(self.target)
-        return (f"target={spec.name}:{spec.fingerprint()[:12]};"
-                f"pipe={self.pipeline};rounds={self.outline_rounds};"
-                f"layout={self.data_layout};gc={self.gc_metadata_mode};"
-                f"mergemode={self.merge_mode};"
-                f"fmsa={int(self.enable_fmsa)};"
-                f"gdce={int(self.global_dce)};"
-                f"strip={self.strip};"
-                f"stats={int(self.collect_outline_stats)};"
-                f"outlayout={self.outlined_layout};"
-                f"inline={int(self.enable_inliner)};"
-                f"funclayout={self.layout};lseed={self.layout_seed};"
-                f"profile={self._profile_digest_tag()}")
+        """The frontend-tagged fields (module and function cache keys)."""
+        return self._fingerprint("frontend")
 
     def llc_fingerprint(self) -> str:
-        """Config fields that change one module's *machine code* in the
-        default pipeline (per-module llc cache key).  A strict subset of
-        :meth:`backend_fingerprint`: link-only fields (function layout,
-        layout seed, profile, outlined-function placement) and
-        whole-program-pipeline-only passes (globaldce, fmsa, exact merge
-        stage, llvm-link data layout) are excluded, so flipping them
-        re-links cached machine modules without re-running llc."""
-        from repro.target import get_target
+        """The llc-tagged fields (per-module machine-code cache key)."""
+        return self._fingerprint("llc")
 
-        spec = get_target(self.target)
-        return (f"target={spec.name}:{spec.fingerprint()[:12]};"
-                f"pipe={self.pipeline};rounds={self.outline_rounds};"
-                f"mergemode={self.merge_mode};"
-                f"stats={int(self.collect_outline_stats)};"
-                f"inline={int(self.enable_inliner)}")
+    def backend_fingerprint(self) -> str:
+        """The llc- and link-tagged fields (image cache key), so the llc
+        key is a strict subset: flipping a link field re-links cached
+        machine modules without re-running llc."""
+        return self._fingerprint("llc", "link")
 
     @classmethod
     def preset(cls, name: str, **overrides) -> "BuildConfig":
@@ -235,21 +257,6 @@ class BuildConfig:
             except TypeError as exc:
                 raise ReproError(f"bad preset override: {exc}") from None
         return config
-
-    def _profile_digest_tag(self) -> str:
-        """Content digest of the layout profile for the image cache key.
-
-        Digesting (rather than embedding the path) keeps the fingerprint
-        stable across checkouts and temp dirs; loading through the typed
-        reader means a corrupt profile fails the build at fingerprint time
-        with :class:`~repro.errors.ProfileError`, before it can key (or
-        poison) a cache entry.
-        """
-        if self.profile_path is None:
-            return "none"
-        from repro.sim.profile import profile_file_digest
-
-        return profile_file_digest(self.profile_path)[:12]
 
 
 #: Named presets (:meth:`BuildConfig.preset` / CLI ``--preset``).  Each
@@ -296,15 +303,11 @@ PRESETS: Dict[str, Dict[str, object]] = {
     },
 }
 
-#: Build-speed / robustness fields that must never enter a fingerprint
-#: (used by tests to pin the bit-identity contract).
-SPEED_FIELDS = frozenset({
-    "workers", "incremental", "cache_dir", "persistent_workers",
-    "chunk_timeout", "max_chunk_retries", "retry_backoff", "fail_fast",
-    "fault_plan", "cancel_scope",
-})
+#: Fields that enter some cache key, in declaration order.
+KEY_FIELDS = tuple(f.name for f in fields(BuildConfig)
+                   if f.metadata["stage"] in ("frontend", "llc", "link"))
 
-
-def config_fields() -> tuple:
-    """All BuildConfig field names (for CLI/facade plumbing)."""
-    return tuple(f.name for f in fields(BuildConfig))
+#: Build-speed / robustness fields: in no cache key, so builds must be
+#: bit-identical across them (tests pin this contract).
+SPEED_FIELDS = frozenset(f.name for f in fields(BuildConfig)
+                         if f.metadata["stage"] in ("speed", "robustness"))

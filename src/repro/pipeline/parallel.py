@@ -233,14 +233,12 @@ def _llc_chunk(payload: Dict[str, object],
 
     lir_modules = payload["lir_modules"]
     rounds = payload["outline_rounds"]
-    collect = payload["collect_stats"]
     target = payload["target"]
     out = []
     for i in indices:
         module = lir_modules[i]
         llc_out = run_llc(module, LLCOptions(
-            outline_rounds=rounds, collect_stats=collect,
-            outlined_name_prefix=f"{module.name}::",
+            outline_rounds=rounds, outlined_name_prefix=f"{module.name}::",
             target=target))
         out.append((i, llc_out))
     return out
@@ -582,7 +580,6 @@ def llc_modules(lir_modules: Sequence[object], config: BuildConfig,
     chunks = _round_robin(indices, resolve_workers(config.workers))
     payloads = [{"lir_modules": {i: lir_modules[i] for i in chunk},
                  "outline_rounds": config.outline_rounds,
-                 "collect_stats": config.collect_outline_stats,
                  "target": config.target}
                 for chunk in chunks]
     if len(chunks) <= 1:

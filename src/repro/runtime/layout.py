@@ -36,31 +36,39 @@ CLOSURE_FN = 16
 CLOSURE_NCAPS = 24
 CLOSURE_CAPS_OFFSET = 32
 
-#: Element kinds for arrays and boxes (packed as ``typeid | kind << 8``).
+#: Element kinds for arrays and boxes.
 ELEM_PLAIN = 0
 ELEM_REF = 1
 ELEM_FLOAT = 2
 
-
-def pack_typeid(type_id: int, kind: int = ELEM_PLAIN) -> int:
-    return type_id | (kind << 8)
-
-
-def unpack_typeid(word: int) -> int:
-    return word & 0xFF
-
-
-def unpack_kind(word: int) -> int:
-    return (word >> 8) & 0xFF
-
-#: Sentinel refcount for statically allocated (immortal) objects.
-IMMORTAL_RC = -1
-
-#: Reserved type ids (classes start at 16; see frontend.sema).
+#: Reserved type ids; sema numbers classes from FIRST_CLASS_TYPE_ID and
+#: rejects a program past MAX_CLASS_TYPE_ID.
 TYPE_ID_ARRAY = 1
 TYPE_ID_STRING = 2
 TYPE_ID_CLOSURE = 3
 TYPE_ID_BOX = 4
+FIRST_CLASS_TYPE_ID = 16
+
+#: A header word is ``type_id | kind << TYPE_ID_BITS``, so a plain-kind
+#: header (every class instance) equals its type id.
+TYPE_ID_BITS = 16
+MAX_CLASS_TYPE_ID = (1 << TYPE_ID_BITS) - 1
+
+
+def pack_typeid(type_id: int, kind: int = ELEM_PLAIN) -> int:
+    return type_id | (kind << TYPE_ID_BITS)
+
+
+def unpack_typeid(word: int) -> int:
+    return word & MAX_CLASS_TYPE_ID
+
+
+def unpack_kind(word: int) -> int:
+    return word >> TYPE_ID_BITS
+
+
+#: Sentinel refcount for statically allocated (immortal) objects.
+IMMORTAL_RC = -1
 
 
 def class_field_offset(index: int) -> int:

@@ -12,9 +12,9 @@ and never silently yields a partial object.
 The config that travels with a submit request is a *whitelisted subset*
 of :class:`~repro.pipeline.config.BuildConfig`: the fields that define
 **what** to build (pipeline, target, rounds, merge mode, pass toggles).
-Operational knobs — workers, cache dir, fault plan, deadlines — belong to
-the daemon, which is what makes one shared cache and one admission policy
-possible across many clients.
+Operational knobs — workers, cache dir, fault plan, deadlines, image
+verification — belong to the daemon, which is what makes one shared
+cache and one admission policy possible across many clients.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 from repro import errors as errors_mod
 from repro.errors import ProtocolError, ReproError, ServiceError
-from repro.pipeline.config import SPEED_FIELDS, BuildConfig, config_fields
+from repro.pipeline.config import KEY_FIELDS, BuildConfig
 
 #: Protocol revision; bumped on incompatible frame-shape changes.
 PROTOCOL_VERSION = 1
@@ -122,7 +122,7 @@ def wire_to_error(payload: Dict[str, object]) -> ReproError:
 
 # --- build-config subset on the wire -----------------------------------------
 
-#: Fingerprinted fields that nonetheless must NOT travel the wire, with
+#: Key-tagged fields that nonetheless must NOT travel the wire, with
 #: the reason each is excluded.  Everything listed here is re-audited by
 #: the protocol tests: a field may only appear if it is still a real
 #: BuildConfig field.
@@ -133,15 +133,12 @@ CONFIG_WIRE_EXCLUDED = {
 }
 
 #: Fields a client may set: they define the artifact, not the machinery.
-#: Derived from the config-field partition rather than hand-maintained:
-#: every BuildConfig field that enters a fingerprint (i.e. is not a
-#: build-speed/robustness knob in SPEED_FIELDS) is wire-settable unless
-#: explicitly excluded above.  Adding a new artifact-defining knob to
-#: BuildConfig therefore makes it wire-round-trippable automatically.
+#: Derived from the BuildConfig stage tags: every field that enters a
+#: cache key is wire-settable unless excluded above, and every speed or
+#: robustness field (workers, cache dir, verify_image, deadlines) stays
+#: the daemon's.  A new key-tagged knob therefore travels automatically.
 CONFIG_WIRE_FIELDS = tuple(
-    name for name in config_fields()
-    if name not in SPEED_FIELDS and name not in CONFIG_WIRE_EXCLUDED
-)
+    name for name in KEY_FIELDS if name not in CONFIG_WIRE_EXCLUDED)
 
 
 def config_to_wire(config: BuildConfig) -> Dict[str, object]:

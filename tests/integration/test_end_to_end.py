@@ -231,6 +231,20 @@ func main() {
 """)
         assert out == ["true", "false", "true"]
 
+    @pytest.mark.parametrize("target", ["arm64", "thumb2c"])
+    def test_hundreds_of_classes(self, target):
+        """Class type ids past 255 survive the object header: one object
+        of each of 300 classes is allocated, read and released (each
+        release looks its class up by the id in the header)."""
+        n = 300
+        classes = "".join(f"class C{i} {{ var v: Int\n"
+                          f"    init(v: Int) {{ self.v = v }} }}\n"
+                          for i in range(n))
+        uses = "".join(f"    total += C{i}(v: {i}).v\n" for i in range(n))
+        out = run(classes + "func main() {\n    var total = 0\n" + uses
+                  + "    print(total)\n}\n", target=target)
+        assert out == [str(sum(range(n)))]
+
 
 class TestArraysAndStrings:
     def test_array_mutation(self):

@@ -3,9 +3,11 @@ subprocess, `repro submit` / `repro status` in-process against it, warm
 image-cache hits on resubmission, degradation lines over the wire, and a
 graceful SIGTERM drain with exit code 0."""
 
+import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -39,6 +41,13 @@ def run_cli(args):
 
 def _src_path():
     return str(Path(__file__).resolve().parents[2] / "src")
+
+
+def _sha(out):
+    for line in out.splitlines():
+        if line.startswith("text sha:"):
+            return line.split()[-1]
+    raise AssertionError(f"no sha line in: {out}")
 
 
 @pytest.fixture
@@ -93,14 +102,25 @@ class TestServeSubmitRoundTrip:
                                 "--state-dir", state_dir, "--rounds", "1"])
         assert code == 0
         assert "image cache hit (no recompilation)" in second
-
-        def _sha(out):
-            for line in out.splitlines():
-                if line.startswith("text sha:"):
-                    return line.split()[-1]
-            raise AssertionError(f"no sha line in: {out}")
-
         assert _sha(first) == _sha(second)
+
+    def test_submit_preset_builds_what_build_builds(self, daemon, tmp_path):
+        """`submit --preset min-size` ships the whole resolved config, so
+        the daemon strips at link time exactly like the one-shot build."""
+        from repro import api
+
+        source = SOURCE + "func unused(x: Int) -> Int { return x * 7 + 1 }\n"
+        path = tmp_path / "preset" / "App.sw"
+        path.parent.mkdir()
+        path.write_text(source)
+        _, state_dir = daemon
+        code, out = run_cli(["submit", str(path), "--state-dir", state_dir,
+                             "--preset", "min-size"])
+        assert code == 0
+        assert re.search(r"^strip: +program", out, re.M), out
+        local = api.build({"App": source}, preset="min-size")
+        assert _sha(out) == hashlib.sha256(
+            local.image.text_section()).hexdigest()
 
     def test_degradation_lines_travel_the_wire(self, tmp_path):
         """A daemon injecting worker crashes: `repro submit` prints the

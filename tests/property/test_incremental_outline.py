@@ -130,11 +130,10 @@ def test_default_multi_round_build_matches_forced_fresh():
     a = build_program(sources, BuildConfig(outline_rounds=5))
     original = repeated_mod.repeated_outline_functions
 
-    def forced_fresh(functions, rounds=5, collect_stats=True,
-                     name_counter=None, name_prefix="", target=None,
-                     incremental=None):
-        return original(functions, rounds, collect_stats, name_counter,
-                        name_prefix, target, incremental=False)
+    def forced_fresh(functions, rounds=5, name_counter=None,
+                     name_prefix="", target=None, incremental=None):
+        return original(functions, rounds, name_counter, name_prefix,
+                        target, incremental=False)
 
     repeated_mod.repeated_outline_functions = forced_fresh
     try:

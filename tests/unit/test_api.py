@@ -18,7 +18,7 @@ import repro
 from repro import api
 from repro.errors import ReproError
 from repro.pipeline import BuildConfig, build_program
-from repro.pipeline.config import PRESETS, SPEED_FIELDS
+from repro.pipeline.config import KEY_FIELDS, PRESETS, SPEED_FIELDS
 
 SOURCES = {
     "App": """
@@ -137,11 +137,12 @@ class TestPresetEquivalence:
                 == _text(build_program(SOURCES, speedy)))
 
     def test_speed_fields_cover_preset_speed_knobs(self):
-        """Every preset field that is not fingerprinted (i.e. not part of
-        cache keys) must be declared in SPEED_FIELDS."""
-        fingerprinted = {"pipeline", "outline_rounds", "merge_mode",
-                         "global_dce", "strip", "target", "data_layout"}
+        """Every preset field either enters a cache key or is a speed
+        knob (SPEED_FIELDS), and no two presets share an image key."""
         for name, fields in PRESETS.items():
             for field_name in fields:
-                assert (field_name in fingerprinted
+                assert (field_name in KEY_FIELDS
                         or field_name in SPEED_FIELDS), (name, field_name)
+        keys = {BuildConfig.preset(name).backend_fingerprint()
+                for name in PRESETS}
+        assert len(keys) == len(PRESETS)

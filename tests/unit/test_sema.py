@@ -1,11 +1,14 @@
 """Semantic analysis unit tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import SemaError
 from repro.frontend.parser import parse_module
 from repro.frontend.sema import analyze_program
 from repro.frontend.types import INT, ArrayType, ClassType, FuncType
+from repro.runtime.layout import FIRST_CLASS_TYPE_ID, MAX_CLASS_TYPE_ID
 
 
 def check(source, module="T"):
@@ -395,6 +398,26 @@ def test_same_class_name_in_two_modules():
     )
     assert "A::Node" in info.classes_by_qualified_name
     assert "B::Node" in info.classes_by_qualified_name
+
+
+def test_class_past_the_type_id_limit_rejected():
+    """Every id up to MAX_CLASS_TYPE_ID fits the object header; the class
+    that would need the next one is a SemaError, not an aliased id that
+    traps at run time.  (Declarations are cloned, not parsed: parsing
+    65k classes would dominate the test.)"""
+    def program(num_classes):
+        module = parse_module("class C {}\nfunc main() {}", "T")
+        proto = module.classes[0]
+        module.classes = [dataclasses.replace(proto, name=f"C{i}")
+                          for i in range(num_classes)]
+        return [module]
+
+    fits = MAX_CLASS_TYPE_ID - FIRST_CLASS_TYPE_ID + 1
+    info = analyze_program(program(fits))
+    last = info.classes_by_qualified_name[f"T::C{fits - 1}"]
+    assert last.decl.type_id == MAX_CLASS_TYPE_ID
+    with pytest.raises(SemaError, match="too many classes"):
+        analyze_program(program(fits + 1))
 
 
 def test_user_function_shadows_builtin():

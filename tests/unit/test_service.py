@@ -141,29 +141,31 @@ class TestConfigWire:
             config_from_wire({"workers": 8})
 
     def test_operational_knobs_never_travel(self):
-        # cache_dir/fault_plan/cancel_scope stay daemon-side by design.
+        # cache_dir/fault_plan/cancel_scope stay daemon-side by design, and
+        # so does image verification: the daemon always verifies.
         wire = config_to_wire(BuildConfig())
         for forbidden in ("workers", "cache_dir", "fault_plan",
-                          "cancel_scope", "chunk_timeout", "incremental"):
+                          "cancel_scope", "chunk_timeout", "incremental",
+                          "verify_image"):
             assert forbidden not in wire
 
     def test_every_fingerprinted_knob_is_wire_settable_or_excluded(self):
-        # The whitelist is derived from the config partition, so a new
+        # The whitelist is derived from the config stage tags, so a new
         # artifact-defining knob (e.g. ``strip``) is automatically
         # round-trippable; this pins the partition itself: every field
-        # that enters a fingerprint either travels the wire or carries an
+        # that enters a cache key either travels the wire or carries an
         # explicit exclusion reason in CONFIG_WIRE_EXCLUDED.
-        from repro.pipeline.config import SPEED_FIELDS, config_fields
+        from repro.pipeline.config import KEY_FIELDS
         from repro.service.protocol import (
             CONFIG_WIRE_EXCLUDED,
             CONFIG_WIRE_FIELDS,
         )
 
-        fingerprinted = set(config_fields()) - SPEED_FIELDS
-        assert set(CONFIG_WIRE_FIELDS) | CONFIG_WIRE_EXCLUDED == fingerprinted
+        assert set(CONFIG_WIRE_FIELDS) | CONFIG_WIRE_EXCLUDED == set(
+            KEY_FIELDS)
         assert not set(CONFIG_WIRE_FIELDS) & CONFIG_WIRE_EXCLUDED
         # Exclusions must name real fields, or they rot silently.
-        assert CONFIG_WIRE_EXCLUDED <= set(config_fields())
+        assert CONFIG_WIRE_EXCLUDED <= set(KEY_FIELDS)
         # The knob this partition exists for: strip travels the wire.
         assert "strip" in CONFIG_WIRE_FIELDS
         roundtrip = config_from_wire(
@@ -425,6 +427,26 @@ class TestRecovery:
             assert job.status == "ok"
             assert job.recovered is True
             assert len(job.image["text_sha256"]) == 64
+        finally:
+            restarted.close()
+
+    def test_journaled_field_off_the_wire_replays_as_typed_error(
+            self, tmp_path):
+        """A job journaled while ``verify_image`` still travelled the wire
+        fails on replay with a typed ServiceError; recovery goes on."""
+        crashed = BuildService(_service_config(tmp_path))
+        crashed.journal.submitted("stale", SOURCES, {"verify_image": False},
+                                  None)
+        crashed.journal.close()
+
+        restarted = BuildService(_service_config(tmp_path))
+        restarted.start()
+        try:
+            job = restarted.job("stale")
+            assert job.done.wait(timeout=30.0)
+            assert job.status == "error"
+            assert job.error["error"] == "ServiceError"
+            assert "verify_image" in job.error["message"]
         finally:
             restarted.close()
 
