@@ -5,7 +5,7 @@ from conftest import run_once
 
 from repro.errors import GCMetadataConflict
 from repro.lir.linker import LinkOptions, link_modules
-from repro.pipeline import frontend_to_lir
+from repro.pipeline import compile_frontend
 from repro.workloads.corpora import objc_module
 
 _SWIFT_SOURCE = """
@@ -19,7 +19,7 @@ func main() {
 
 
 def _link(mode: str):
-    _, swift_mods = frontend_to_lir({"SwiftSide": _SWIFT_SOURCE})
+    swift_mods = compile_frontend({"SwiftSide": _SWIFT_SOURCE}).lir_modules
     objc = objc_module()
     return link_modules(swift_mods + [objc],
                         LinkOptions(gc_metadata_mode=mode))

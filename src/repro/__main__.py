@@ -134,20 +134,17 @@ def _build(args):
 
 
 def _build_sliced(args):
-    """Build for every --target: a sliced multi-target build (one shared
-    frontend) when more than one is given, else the normal single build.
-    Returns ``({target: BuildResult}, config)``."""
+    """Build one slice per --target (the configured target when none is
+    given) from one shared frontend.  Returns
+    ``({target: BuildResult}, config)``."""
     from repro import api
 
     targets = _target_args(args)
-    if len(targets) > 1:
-        args.target = None
-        config = _config_from_args(args)
-        results = api.build(_load_sources(args.sources), config,
-                            targets=targets)
-        return results, config
-    result, config = _build(args)
-    return {str(config.target): result}, config
+    args.target = None
+    config = _config_from_args(args)
+    results = api.build(_load_sources(args.sources), config,
+                        targets=targets or [config.target])
+    return results, config
 
 
 def _print_build_summary(name: str, result, config) -> None:
@@ -394,7 +391,13 @@ def cmd_experiments(args) -> int:
     return 0
 
 
-def _add_preset_arg(parser) -> None:
+def _add_image_args(parser) -> None:
+    """``--preset`` and the flags that define the image, shared by
+    ``build`` and ``submit`` so a daemon job resolves its flags exactly
+    as a one-shot build does."""
+    # Flags default to None (= "not given") so _config_from_args can tell
+    # an explicit flag from an absent one; absent flags fall through to
+    # the --preset (if any), then to the BuildConfig defaults.
     from repro.pipeline.config import PRESETS
 
     parser.add_argument("--preset", default=None,
@@ -404,14 +407,6 @@ def _add_preset_arg(parser) -> None:
                              "fast-build: incremental inner-loop builds; "
                              "balanced: in between).  Explicit flags "
                              "override preset fields.")
-
-
-def _add_build_args(parser) -> None:
-    # Flags default to None (= "not given") so _config_from_args can tell
-    # an explicit flag from an absent one; absent flags fall through to
-    # the --preset (if any), then to the BuildConfig defaults.
-    parser.add_argument("sources", nargs="+", help="Swiftlet source files")
-    _add_preset_arg(parser)
     parser.add_argument("--rounds", type=int, default=None,
                         help="machine outlining rounds (default 5)")
     parser.add_argument("--pipeline", default=None,
@@ -448,6 +443,11 @@ def _add_build_args(parser) -> None:
                              "call-site census), random (seeded control)")
     parser.add_argument("--layout-seed", type=int, default=None,
                         help="seed for --layout random (default 0)")
+
+
+def _add_build_args(parser) -> None:
+    parser.add_argument("sources", nargs="+", help="Swiftlet source files")
+    _add_image_args(parser)
     parser.add_argument("--profile-in", default=None, metavar="PATH",
                         help="layout profile from a previous "
                              "'run --profile-out' feeding callgraph-c3 "
@@ -587,22 +587,10 @@ def main(argv=None) -> int:
         p.add_argument("--client-timeout", type=float, default=300.0,
                        help="socket timeout waiting for the daemon")
 
-    from repro.pipeline.config import MERGE_MODES
-    from repro.target import available_targets
-
     p_submit = sub.add_parser("submit",
                               help="submit a build to a running daemon")
     p_submit.add_argument("sources", nargs="+", help="Swiftlet source files")
-    _add_preset_arg(p_submit)
-    p_submit.add_argument("--rounds", type=int, default=None)
-    p_submit.add_argument("--pipeline", default=None,
-                          choices=("wholeprogram", "default"))
-    p_submit.add_argument("--target", default=None,
-                          choices=available_targets())
-    p_submit.add_argument("--merge", default=None,
-                          choices=MERGE_MODES)
-    p_submit.add_argument("--data-layout", default=None,
-                          choices=("module-order", "interleaved"))
+    _add_image_args(p_submit)
     p_submit.add_argument("--deadline", type=float, default=0.0,
                           help="per-job deadline seconds (0 = daemon "
                                "default)")

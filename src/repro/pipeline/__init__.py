@@ -9,7 +9,6 @@ from repro.pipeline.build import (
     build_targets,
     compile_backend,
     compile_frontend,
-    frontend_to_lir,
     run_build,
 )
 from repro.pipeline.cache import PIPELINE_CACHE_VERSION, CacheStats, ModuleCache
@@ -35,6 +34,5 @@ __all__ = [
     "build_targets",
     "compile_backend",
     "compile_frontend",
-    "frontend_to_lir",
     "run_build",
 ]

@@ -1,9 +1,10 @@
 """Build drivers for the default (Figure 2) and whole-program (Figure 10)
 iOS pipelines.
 
-``build_program`` is the main entry: source modules in, linked
-:class:`BinaryImage` out, plus the artifacts each experiment needs (LIR,
-machine modules, outlining statistics, size report).
+``build_targets`` runs every build: source modules in, one linked
+:class:`BinaryImage` per target out, plus the artifacts each experiment
+needs (LIR, machine modules, outlining statistics, size report).
+``build_program`` is its one-target form.
 
 The driver is incremental and parallel (§VII-C is about exactly this cost):
 
@@ -33,7 +34,7 @@ from repro.frontend.parser import parse_module
 from repro.frontend.sema import ProgramInfo, analyze_program
 from repro.isa.instructions import MachineModule
 from repro.lir import ir as lir_ir
-from repro.lir.irgen import ModuleIRGen, generate_lir
+from repro.lir.irgen import ModuleIRGen
 from repro.lir.linker import LinkOptions, link_modules
 from repro.lir.passes.manager import PassManager, osize_pipeline
 from repro.obs import trace as obs_trace
@@ -109,19 +110,6 @@ class BuildResult:
         if callable(self.machine_listing):
             self.machine_listing = self.machine_listing() or []
         return self.machine_listing
-
-
-def frontend_to_lir(sources: SourceModules) -> Tuple[ProgramInfo,
-                                                     List[lir_ir.LIRModule]]:
-    """Parse + sema + SILGen + IRGen + per-module -Osize cleanups."""
-    items = sources.items() if isinstance(sources, dict) else sources
-    modules = [parse_module(text, name) for name, text in items]
-    program = analyze_program(modules)
-    sil_modules = generate_sil(program)
-    lir_modules = generate_lir(sil_modules)
-    for module in lir_modules:
-        optimize_module(module)
-    return program, lir_modules
 
 
 def optimize_module(module: lir_ir.LIRModule) -> None:
@@ -386,21 +374,6 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
 # --- cached / parallel frontend ----------------------------------------------
 
 
-@dataclass
-class _FrontendOutput:
-    lir_modules: List[lir_ir.LIRModule]
-    program: Optional[ProgramInfo]
-    registry: TypeRegistry
-    #: Per-module cache keys (None when caching is off).
-    module_keys: Optional[List[str]] = None
-    #: Per-module *content* identities (function keys + globals; see
-    #: :func:`repro.pipeline.fncache.module_content_key`), used as the
-    #: llc cache base so downstream modules whose LIR did not change keep
-    #: their machine code when an upstream module's source moves.  None
-    #: entries fall back to the module key.
-    llc_base_keys: Optional[List[Optional[str]]] = None
-
-
 def _module_layouts(program: ProgramInfo) -> Dict[str, List[ClassLayout]]:
     """Class layouts grouped by defining module (cache payload)."""
     grouped: Dict[str, List[ClassLayout]] = {}
@@ -417,7 +390,8 @@ def _module_layouts(program: ProgramInfo) -> Dict[str, List[ClassLayout]]:
 def _valid_module_entry(entry: object) -> bool:
     return (isinstance(entry, dict)
             and isinstance(entry.get("lir"), lir_ir.LIRModule)
-            and isinstance(entry.get("layouts"), list))
+            and isinstance(entry.get("layouts"), list)
+            and isinstance(entry.get("fnsig"), str))
 
 
 def _assemble_module(sm, signatures, hits) -> Tuple[lir_ir.LIRModule, int]:
@@ -448,11 +422,10 @@ def _assemble_module(sm, signatures, hits) -> Tuple[lir_ir.LIRModule, int]:
 
 
 def _apply_sil_passes(sil_modules, config: BuildConfig) -> None:
-    if config.enable_arc_opt:
-        from repro.sil.passes import arc_opt
+    from repro.sil.passes import arc_opt
 
-        for sm in sil_modules:
-            arc_opt.run_on_module(sm)
+    for sm in sil_modules:
+        arc_opt.run_on_module(sm)
     if config.enable_sil_outlining:
         from repro.sil.passes import outline as sil_outline
 
@@ -497,8 +470,10 @@ def _probe_modules(items: List[Tuple[str, str]], config: BuildConfig,
 def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
               cache: Optional[ModuleCache],
               report: BuildReport,
-              probe: Optional[_ProbeState] = None) -> _FrontendOutput:
-    """Sources -> optimized per-module LIR, using the cache and workers."""
+              probe: Optional[_ProbeState] = None) -> "ProgramArtifact":
+    """Sources -> optimized per-module LIR, using the cache and workers;
+    *report* becomes the artifact's ``frontend_report``."""
+    fingerprint = _artifact_fingerprint(items, config)
     names = [name for name, _ in items]
     parsed: Dict[str, object] = {}
     keys: Optional[List[str]] = None
@@ -528,10 +503,11 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
             for layout in entry["layouts"]:
                 registry.register(layout)
             lir_modules.append(entry["lir"])
-        return _FrontendOutput(
+        return ProgramArtifact(
             lir_modules=lir_modules, program=None, registry=registry,
-            module_keys=keys,
-            llc_base_keys=[cached[name].get("fnsig") for name in names])
+            fingerprint=fingerprint, module_keys=keys,
+            llc_base_keys=[cached[name]["fnsig"] for name in names],
+            frontend_report=report)
 
     # At least one module must be compiled: whole-program sema is required
     # (type ids and closure numbering span modules), and SILGen runs on all
@@ -578,9 +554,7 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
                     fn_hits[name] = hits
             for name in names:
                 if name in cached:
-                    fnsig = cached[name].get("fnsig")
-                    if isinstance(fnsig, str):
-                        content_keys[name] = fnsig
+                    content_keys[name] = cached[name]["fnsig"]
         report.fn_cache_hits = sum(len(h) for h in fn_hits.values())
         report.fn_cache_misses = total_fns - report.fn_cache_hits
 
@@ -607,11 +581,9 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
             layouts = _module_layouts(program)
             for name, key in zip(names, keys):
                 if name in lowered:
-                    entry = {"lir": lowered[name],
-                             "layouts": layouts.get(name, [])}
-                    if name in content_keys:
-                        entry["fnsig"] = content_keys[name]
-                    cache.store(key, entry)
+                    cache.store(key, {"lir": lowered[name],
+                                      "layouts": layouts.get(name, []),
+                                      "fnsig": content_keys[name]})
             for name in misses:
                 hits = fn_hits.get(name, {})
                 by_symbol = {fn.symbol: fn for fn in lowered[name].functions}
@@ -622,12 +594,13 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
 
     lir_modules = [cached[name]["lir"] if name in cached else lowered[name]
                    for name in names]
-    return _FrontendOutput(lir_modules=lir_modules, program=program,
-                           registry=TypeRegistry.from_program(program),
-                           module_keys=keys,
-                           llc_base_keys=[content_keys.get(name)
-                                          for name in names]
-                           if content_keys else None)
+    return ProgramArtifact(
+        lir_modules=lir_modules, program=program,
+        registry=TypeRegistry.from_program(program), fingerprint=fingerprint,
+        module_keys=keys,
+        llc_base_keys=([content_keys[name] for name in names]
+                       if cache is not None else None),
+        frontend_report=report)
 
 
 def _valid_llc_entry(entry: object) -> bool:
@@ -662,17 +635,10 @@ def _machine_modules_loader(cache: ModuleCache, mm_key: str):
 
 def build_program(sources: SourceModules,
                   config: Optional[BuildConfig] = None) -> BuildResult:
-    """Full build: Swiftlet sources -> linked binary image."""
+    """Full build: Swiftlet sources -> linked binary image for
+    ``config.target`` (a one-target :func:`build_targets`)."""
     config = config or BuildConfig()
-    items = (list(sources.items()) if isinstance(sources, dict)
-             else [(name, text) for name, text in sources])
-    with obs_trace.span("build", kind="build", pipeline=config.pipeline,
-                        num_modules=len(items),
-                        outline_rounds=config.outline_rounds,
-                        target=config.target):
-        result = _build_program(items, config)
-    _record_size_metrics(result)
-    return result
+    return build_targets(sources, [config.target], config)[config.target]
 
 
 def _record_size_metrics(result: BuildResult) -> None:
@@ -687,23 +653,58 @@ def _record_size_metrics(result: BuildResult) -> None:
     metrics.set_gauge("image.num_instrs", sizes.num_instrs)
 
 
-def _fresh_report(num_modules: int, config: BuildConfig) -> BuildReport:
+def _open_cache(config: BuildConfig) -> Optional[ModuleCache]:
+    return (ModuleCache(config.cache_dir, fault_plan=config.fault_plan)
+            if config.incremental else None)
+
+
+def _frontend_report(num_modules: int, config: BuildConfig) -> BuildReport:
     return BuildReport(num_modules=num_modules,
                        workers=parallel.resolve_workers(config.workers),
-                       cache_enabled=config.incremental,
-                       target=str(config.target),
-                       merge_mode=config.merge_mode)
+                       cache_enabled=config.incremental)
 
 
-def _image_cache_probe(num_modules: int, config: BuildConfig,
-                       cache: ModuleCache, report: BuildReport,
+def _slice_report(frontend: BuildReport, config: BuildConfig) -> BuildReport:
+    """A slice's report: a copy of its frontend run's, for *config*."""
+    report = BuildReport.from_dict(frontend.as_dict())
+    report.target = str(config.target)
+    report.merge_mode = config.merge_mode
+    report.workers = parallel.resolve_workers(config.workers)
+    report.cache_enabled = config.incremental
+    return report
+
+
+def _slice_configs(targets: Sequence[str],
+                   config: BuildConfig) -> Dict[str, BuildConfig]:
+    """``{target: config}`` in the order given, after the one target check
+    every slice passes through."""
+    names = list(targets)
+    if not names:
+        raise ReproError("build_targets needs at least one target")
+    if len(set(names)) != len(names):
+        raise ReproError(f"duplicate targets: {', '.join(names)}")
+    from repro.target import available_targets
+
+    unknown = [n for n in names if n not in available_targets()]
+    if unknown:
+        raise ReproError(
+            f"unknown target(s): {', '.join(unknown)} (available: "
+            f"{', '.join(available_targets())})")
+    return {name: (config if name == config.target
+                   else replace(config, target=name))
+            for name in names}
+
+
+def _image_cache_probe(frontend: BuildReport, config: BuildConfig,
+                       cache: ModuleCache,
                        img_key: str) -> Optional[BuildResult]:
     """The warm whole-image fast path: a valid image entry (plus its
-    machine-listing sidecar) short-circuits the entire build."""
+    machine-listing sidecar) short-circuits the entire slice."""
     entry = cache.load(img_key)
     mm_key = cache_mod.machine_modules_key(img_key)
     if not (_valid_image_entry(entry) and cache.contains(mm_key)):
         return None
+    report = _slice_report(frontend, config)
     # A cache-restored image gets re-verified every time: the pickle on
     # disk, not the linker's output, is what a torn write or bit flip
     # would have damaged.
@@ -711,7 +712,7 @@ def _image_cache_probe(num_modules: int, config: BuildConfig,
     report.image_cache_hit = True
     # The image key covers every module key, so each module is warm by
     # construction.
-    report.cache_hits = num_modules
+    report.cache_hits = report.num_modules
     report.cache_misses = 0
     registry = TypeRegistry()
     for layout in entry["layouts"]:
@@ -728,70 +729,49 @@ def _image_cache_probe(num_modules: int, config: BuildConfig,
         report=report)
     _note_merge_stats(cached_result, config, report)
     _note_strip_stats(cached_result, config, report)
+    _record_size_metrics(cached_result)
     return cached_result
 
 
-def _backend_from_frontend(fe: _FrontendOutput, config: BuildConfig,
-                           cache: Optional[ModuleCache],
-                           report: BuildReport,
-                           img_key: Optional[str]) -> BuildResult:
-    """The per-target back half: target LIR passes, isel/regalloc via llc,
-    outlining, strip, layout, link, verify, image-cache store."""
-    llc_bases = fe.module_keys
-    if fe.module_keys is not None and fe.llc_base_keys is not None:
-        # Prefer the content identity; a module with no recorded content
-        # key (older entry shape) falls back to its source-transitive
-        # module key.
-        llc_bases = [base if isinstance(base, str) else mk
-                     for base, mk in zip(fe.llc_base_keys, fe.module_keys)]
-    result = build_lir_modules(fe.lir_modules, config, registry=fe.registry,
-                               program=fe.program, report=report,
-                               module_keys=llc_bases, cache=cache)
-    _verify(result.image, config, report)
-    if cache is not None and img_key is not None:
-        with report.phase("cache-store"):
-            cache.store(img_key, {
-                "image": result.image,
-                "outline_stats": result.outline_stats,
-                "pass_reports": result.pass_reports,
-                "phase_work": result.phase_work,
-                # Class layouts ride along so an image hit can rebuild the
-                # runtime TypeRegistry without touching module entries.
-                "layouts": sorted(result.registry._classes.values(),
-                                  key=lambda lo: lo.type_id),
-            })
-            # The heavy machine listing lives in a sidecar entry loaded
-            # only on demand (see machine_modules_key).
-            cache.store(cache_mod.machine_modules_key(img_key),
-                        {"machine_modules": result.machine_modules})
-        report.cache_stores = cache.stats.stores
-    if cache is not None:
-        _note_cache_recoveries(cache, report)
-    _record_cache_metrics(cache, report)
+def _finish_slice(artifact: "ProgramArtifact",
+                  lir_modules: List[lir_ir.LIRModule], config: BuildConfig,
+                  cache: Optional[ModuleCache],
+                  img_key: Optional[str]) -> BuildResult:
+    """One target's back half over *lir_modules*, which it consumes in
+    place: target LIR passes, isel/regalloc via llc, outlining, strip,
+    layout and link, then verify, the image-cache store and the size
+    metrics."""
+    report = _slice_report(artifact.frontend_report, config)
+    with obs_trace.span("backend", kind="build", target=config.target):
+        result = build_lir_modules(lir_modules, config,
+                                   registry=artifact.registry,
+                                   program=artifact.program, report=report,
+                                   module_keys=artifact.llc_base_keys,
+                                   cache=cache)
+        _verify(result.image, config, report)
+        if cache is not None and img_key is not None:
+            with report.phase("cache-store"):
+                cache.store(img_key, {
+                    "image": result.image,
+                    "outline_stats": result.outline_stats,
+                    "pass_reports": result.pass_reports,
+                    "phase_work": result.phase_work,
+                    # Class layouts ride along so an image hit can rebuild
+                    # the runtime TypeRegistry without touching module
+                    # entries.
+                    "layouts": sorted(result.registry._classes.values(),
+                                      key=lambda lo: lo.type_id),
+                })
+                # The heavy machine listing lives in a sidecar entry
+                # loaded only on demand (see machine_modules_key).
+                cache.store(cache_mod.machine_modules_key(img_key),
+                            {"machine_modules": result.machine_modules})
+            report.cache_stores = cache.stats.stores
+        if cache is not None:
+            _note_cache_recoveries(cache, report)
+        _record_cache_metrics(cache, report)
+    _record_size_metrics(result)
     return result
-
-
-def _build_program(items: List[Tuple[str, str]],
-                   config: BuildConfig) -> BuildResult:
-    report = _fresh_report(len(items), config)
-    cache = (ModuleCache(config.cache_dir, fault_plan=config.fault_plan)
-             if config.incremental else None)
-
-    checkpoint(config.cancel_scope, "frontend")
-    probe = img_key = None
-    if cache is not None:
-        # Probe the whole-image entry *before* loading any per-module LIR:
-        # its key needs only source hashes and metas, so a fully-warm
-        # rebuild costs hashing + one image load, not O(modules) pickles.
-        probe = _probe_modules(items, config, cache, report)
-        img_key = cache_mod.image_key(probe.keys,
-                                      config.backend_fingerprint())
-        hit = _image_cache_probe(len(items), config, cache, report, img_key)
-        if hit is not None:
-            return hit
-
-    fe = _frontend(items, config, cache, report, probe=probe)
-    return _backend_from_frontend(fe, config, cache, report, img_key)
 
 
 # --- the frontend/backend seam and app-thinning slicing ----------------------
@@ -799,7 +779,8 @@ def _build_program(items: List[Tuple[str, str]],
 
 @dataclass
 class ProgramArtifact:
-    """The serializable seam between the two pipeline halves.
+    """The serializable seam between the two pipeline halves: the one
+    record of a frontend run.
 
     Everything the target-independent front half produced (parse -> sema
     -> SILGen -> SIL passes -> IRGen -> per-module -Osize LIR cleanups),
@@ -821,9 +802,14 @@ class ProgramArtifact:
     #: Per-module cache keys (None when caching was off; lets the backend
     #: reuse the llc and image caches exactly like a one-shot build).
     module_keys: Optional[List[str]] = None
-    llc_base_keys: Optional[List[Optional[str]]] = None
-    #: Frontend phase walls and cache telemetry, copied into every
-    #: consuming backend's report.
+    #: Per-module *content* identities (function keys + globals; see
+    #: :func:`repro.pipeline.fncache.module_content_key`), the llc cache
+    #: base, so downstream modules whose LIR did not change keep their
+    #: machine code when an upstream module's source moves (None when
+    #: caching was off).
+    llc_base_keys: Optional[List[str]] = None
+    #: Frontend phase walls and cache telemetry; every slice's report
+    #: starts as a copy of it.
     frontend_report: BuildReport = field(default_factory=BuildReport)
 
     def lir_copy(self) -> List[lir_ir.LIRModule]:
@@ -864,18 +850,10 @@ def compile_frontend(sources: SourceModules,
     """
     config = config or BuildConfig()
     items = _items(sources)
-    report = _fresh_report(len(items), config)
-    report.target = ""
-    cache = (ModuleCache(config.cache_dir, fault_plan=config.fault_plan)
-             if config.incremental else None)
     checkpoint(config.cancel_scope, "frontend")
     with obs_trace.span("frontend", kind="build", num_modules=len(items)):
-        fe = _frontend(items, config, cache, report)
-    return ProgramArtifact(
-        lir_modules=fe.lir_modules, program=fe.program, registry=fe.registry,
-        fingerprint=_artifact_fingerprint(items, config),
-        module_keys=fe.module_keys, llc_base_keys=fe.llc_base_keys,
-        frontend_report=report)
+        return _frontend(items, config, _open_cache(config),
+                         _frontend_report(len(items), config))
 
 
 def compile_backend(artifact: ProgramArtifact,
@@ -888,138 +866,83 @@ def compile_backend(artifact: ProgramArtifact,
     (a warm target skips its backend entirely).
     """
     config = config or BuildConfig()
-    report = BuildReport.from_dict(artifact.frontend_report.as_dict())
-    report.target = str(config.target)
-    report.merge_mode = config.merge_mode
-    report.workers = parallel.resolve_workers(config.workers)
-    report.cache_enabled = config.incremental
-    cache = (ModuleCache(config.cache_dir, fault_plan=config.fault_plan)
-             if config.incremental else None)
+    _slice_configs([config.target], config)  # the one target check
+    cache = _open_cache(config)
     img_key = None
-    with obs_trace.span("backend", kind="build", target=config.target):
-        if cache is not None and artifact.module_keys is not None:
-            img_key = cache_mod.image_key(artifact.module_keys,
-                                          config.backend_fingerprint())
-            hit = _image_cache_probe(len(artifact.lir_modules), config,
-                                     cache, report, img_key)
-            if hit is not None:
-                _record_size_metrics(hit)
-                return hit
-        fe = _FrontendOutput(
-            lir_modules=artifact.lir_copy(), program=artifact.program,
-            registry=artifact.registry, module_keys=artifact.module_keys,
-            llc_base_keys=artifact.llc_base_keys)
-        checkpoint(config.cancel_scope, "backend")
-        result = _backend_from_frontend(fe, config, cache, report, img_key)
-    _record_size_metrics(result)
-    return result
-
-
-#: BuildReport fields the pending slices copy from the shared frontend run
-#: (phase walls are merged separately).
-_FRONTEND_REPORT_FIELDS = (
-    "cache_hits", "cache_misses", "cache_stores", "fn_cache_hits",
-    "fn_cache_misses", "functions_recompiled",
-)
+    if cache is not None and artifact.module_keys is not None:
+        img_key = cache_mod.image_key(artifact.module_keys,
+                                      config.backend_fingerprint())
+        hit = _image_cache_probe(artifact.frontend_report, config, cache,
+                                 img_key)
+        if hit is not None:
+            return hit
+    return _finish_slice(artifact, artifact.lir_copy(), config, cache,
+                         img_key)
 
 
 def build_targets(sources: SourceModules,
                   targets: Sequence[str],
                   config: Optional[BuildConfig] = None
                   ) -> Dict[str, BuildResult]:
-    """App-thinning slicing: one frontend invocation, one slice per target.
+    """Every build: one frontend invocation, one slice per target (app
+    thinning).
 
     Returns ``{target name: BuildResult}`` in the order given.  The front
     half (parse -> sema -> SILGen -> SIL passes -> IRGen -> -Osize LIR)
-    runs **exactly once**; each target then consumes its own deep copy of
-    the LIR through the back half, so every slice is bit-identical to a
+    runs **exactly once**; each target then consumes its own copy of the
+    LIR through the back half, so every slice is bit-identical to a
     standalone single-target build (the slicing tests pin this from trace
     spans and golden fixtures).  ``config.target`` is ignored in favour
     of *targets*; all other knobs apply to every slice.
 
     With caching on, each slice probes its own whole-image entry first —
-    a fully warm multi-target build never runs the frontend at all.
+    a fully warm build never runs the frontend at all.
     """
     config = config or BuildConfig()
-    names = list(targets)
-    if not names:
-        raise ReproError("build_targets needs at least one target")
-    if len(set(names)) != len(names):
-        raise ReproError(f"duplicate targets: {', '.join(names)}")
-    from repro.target import available_targets
-
-    unknown = [n for n in names if n not in available_targets()]
-    if unknown:
-        raise ReproError(
-            f"unknown target(s): {', '.join(unknown)} (available: "
-            f"{', '.join(available_targets())})")
+    configs = _slice_configs(targets, config)
     items = _items(sources)
-    configs = {name: (config if name == config.target
-                      else replace(config, target=name))
-               for name in names}
-    reports = {name: _fresh_report(len(items), configs[name])
-               for name in names}
+    cache = _open_cache(config)
+    report = _frontend_report(len(items), config)
     results: Dict[str, BuildResult] = {}
-    with obs_trace.span("build-sliced", kind="build", num_modules=len(items),
-                        targets=",".join(names),
+    with obs_trace.span("build", kind="build", num_modules=len(items),
+                        targets=",".join(configs),
                         pipeline=config.pipeline,
                         outline_rounds=config.outline_rounds):
-        cache = (ModuleCache(config.cache_dir, fault_plan=config.fault_plan)
-                 if config.incremental else None)
         checkpoint(config.cancel_scope, "frontend")
         probe = None
         img_keys: Dict[str, str] = {}
         if cache is not None:
-            # One probe serves every slice: module keys depend only on
-            # sources and the frontend fingerprint, never the target.
-            probe = _probe_modules(items, config, cache, reports[names[0]])
-            for name in names:
+            # Probe every slice's whole-image entry *before* loading any
+            # per-module LIR: the keys need only source hashes and metas
+            # (never the target), so a fully warm build costs hashing plus
+            # one image load per slice, not O(modules) pickles.
+            probe = _probe_modules(items, config, cache, report)
+            for name, slice_config in configs.items():
                 img_keys[name] = cache_mod.image_key(
-                    probe.keys, configs[name].backend_fingerprint())
-        pending = []
-        for name in names:
-            if cache is not None:
-                hit = _image_cache_probe(len(items), configs[name], cache,
-                                         reports[name], img_keys[name])
+                    probe.keys, slice_config.backend_fingerprint())
+                hit = _image_cache_probe(report, slice_config, cache,
+                                         img_keys[name])
                 if hit is not None:
                     results[name] = hit
-                    continue
-            pending.append(name)
+        pending = [name for name in configs if name not in results]
         if pending:
-            first = pending[0]
-            fe_report = reports[first]
             with obs_trace.span("frontend", kind="build",
                                 num_modules=len(items)):
-                fe = _frontend(items, configs[first], cache, fe_report,
-                               probe=probe)
-            for name in pending[1:]:
-                rep = reports[name]
-                rep.phase_wall.update(fe_report.phase_wall)
-                for fld in _FRONTEND_REPORT_FIELDS:
-                    setattr(rep, fld, getattr(fe_report, fld))
-                rep.note(f"frontend shared with target {first}")
-            # Each slice's backend mutates LIR in place; serialize once,
-            # give every slice after the first its own deep copy (the
-            # first consumes the originals, exactly like a single-target
-            # build).
-            payloads = {first: fe.lir_modules}
-            if len(pending) > 1:
-                blob = pickle.dumps(fe.lir_modules)
-                for name in pending[1:]:
-                    payloads[name] = pickle.loads(blob)
-            for name in pending:
-                fe_t = _FrontendOutput(
-                    lir_modules=payloads[name], program=fe.program,
-                    registry=fe.registry, module_keys=fe.module_keys,
-                    llc_base_keys=fe.llc_base_keys)
-                checkpoint(config.cancel_scope, f"backend:{name}")
-                with obs_trace.span("backend", kind="build", target=name):
-                    results[name] = _backend_from_frontend(
-                        fe_t, configs[name], cache, reports[name],
-                        img_keys.get(name))
-        for name in names:
-            _record_size_metrics(results[name])
-    return {name: results[name] for name in names}
+                artifact = _frontend(items, config, cache, report,
+                                     probe=probe)
+            # Each back half mutates its LIR in place: the later slices get
+            # copies taken up front, and the first consumes the originals,
+            # so a one-target build pays for no pickle round trip.
+            lirs = ([artifact.lir_modules]
+                    + [artifact.lir_copy() for _ in pending[1:]])
+            for i, name in enumerate(pending):
+                results[name] = _finish_slice(artifact, lirs[i],
+                                              configs[name], cache,
+                                              img_keys.get(name))
+                if i:
+                    results[name].report.note(
+                        f"frontend shared with target {pending[0]}")
+    return {name: results[name] for name in configs}
 
 
 def _verify(image: BinaryImage, config: BuildConfig,

@@ -139,7 +139,6 @@ class BuildConfig:
     #: Baseline size optimizations (Table I rows).
     enable_sil_outlining: bool = _stage("frontend", False)
     enable_fmsa: bool = _stage("link", False)
-    enable_arc_opt: bool = _stage("frontend", True)
     #: Whole-program function merging stacked with the outliner:
     #: "off", "exact" (bit-identical dedup only), or "optimistic"
     #: (similarity-hash merging with priced thunks; see

@@ -122,6 +122,26 @@ class TestServeSubmitRoundTrip:
         assert _sha(out) == hashlib.sha256(
             local.image.text_section()).hexdigest()
 
+    def test_submit_takes_the_image_flags_build_takes(self, daemon,
+                                                      tmp_path):
+        """`submit` parses the image-defining flags through the same
+        helper as `build`, so `--strip program` reaches the daemon and the
+        job builds what the same flags build locally."""
+        from repro import api
+
+        source = SOURCE + "func unused(x: Int) -> Int { return x * 7 + 1 }\n"
+        path = tmp_path / "flags" / "App.sw"
+        path.parent.mkdir()
+        path.write_text(source)
+        _, state_dir = daemon
+        code, out = run_cli(["submit", str(path), "--state-dir", state_dir,
+                             "--strip", "program", "--rounds", "2"])
+        assert code == 0
+        assert re.search(r"^strip: +program", out, re.M), out
+        local = api.build({"App": source}, strip="program", outline_rounds=2)
+        assert _sha(out) == hashlib.sha256(
+            local.image.text_section()).hexdigest()
+
     def test_degradation_lines_travel_the_wire(self, tmp_path):
         """A daemon injecting worker crashes: `repro submit` prints the
         same `degraded:` ladder lines the one-shot CLI prints.  Needs a

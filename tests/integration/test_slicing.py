@@ -9,6 +9,9 @@ Pins the PR-10 tentpole contract:
   same bytes as the fused ``build_program``;
 * a fully warm sliced build never re-runs the frontend (image-cache
   hits on every slice);
+* ``build_program`` is a one-target ``build_targets``: the same spans
+  and the same typed error for an unknown target, as in
+  ``compile_backend`` and ``api.build``;
 * the CLI surfaces (``build --target a --target b``, ``size``) and the
   baseline-diff gate behave.
 """
@@ -75,7 +78,7 @@ class TestSlicedBuild:
         for phase in ("parse", "sema", "silgen", "frontend"):
             assert counts.get(phase) == 1, (phase, counts)
         assert counts.get("backend") == 2
-        assert counts.get("build-sliced") == 1
+        assert counts.get("build") == 1
 
         assert list(results) == TARGETS
         for target in TARGETS:
@@ -148,6 +151,27 @@ class TestFrontendBackendSeam:
                               "Main": SOURCES["Main"]},
                              BuildConfig(outline_rounds=1))
         assert a.fingerprint != c.fingerprint
+
+
+class TestOneTargetBuild:
+    def test_single_target_build_opens_one_of_each_span(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            build_program(SOURCES, BuildConfig(outline_rounds=1))
+        counts = _span_counts(tracer)
+        for name in ("build", "frontend", "backend"):
+            assert counts.get(name) == 1, (name, counts)
+
+    def test_build_program_rejects_unknown_target_typed(self):
+        with pytest.raises(ReproError, match="unknown target"):
+            build_program(SOURCES, BuildConfig(target="riscv"))
+        with pytest.raises(ReproError, match="unknown target"):
+            api.build(SOURCES, target="riscv")
+
+    def test_compile_backend_rejects_unknown_target_typed(self):
+        artifact = compile_frontend(SOURCES, BuildConfig())
+        with pytest.raises(ReproError, match="unknown target"):
+            compile_backend(artifact, BuildConfig(target="riscv"))
 
 
 class TestApiSurface:

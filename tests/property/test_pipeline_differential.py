@@ -1,7 +1,7 @@
 """Differential fuzzing of the *whole* pipeline: random programs must
 behave identically under the minimal build and under the full pass stack
-(ARC opt, SIL outlining, function merging, FMSA, the inliner, repeated
-machine outlining, both pipelines, both layouts) — same printed output,
+(SIL outlining, function merging, FMSA, the inliner, repeated machine
+outlining, both pipelines, both layouts) — same printed output,
 no leaks, every optional transform at once.
 
 This extends ``test_outline_equivalence`` (which varies only the round
@@ -16,7 +16,7 @@ from tests.property.test_outline_equivalence import ProgramGenerator
 
 #: Reference: whole-program with every optional transform off.
 MINIMAL = BuildConfig(pipeline="wholeprogram", outline_rounds=0,
-                      enable_arc_opt=False, global_dce=False)
+                      global_dce=False)
 
 #: Everything the paper stacked on top, all at once, plus layout and
 #: pipeline variants that must not change observable behaviour.

@@ -12,11 +12,11 @@ from repro.isa.registers import (
     CALLEE_SAVED_GPRS,
 )
 from repro.lir import ir
-from repro.pipeline import build_program, frontend_to_lir
+from repro.pipeline import build_program, compile_frontend
 
 
 def lower(source, symbol_suffix):
-    _, modules = frontend_to_lir({"T": source})
+    modules = compile_frontend({"T": source}).lir_modules
     for fn in modules[0].functions:
         if fn.symbol.endswith(symbol_suffix):
             return compile_function(fn)
@@ -126,7 +126,7 @@ func busy(a: Int, b: Int, c: Int, d: Int) -> Int {
     return g + h + i + e + f
 }
 """
-        _, modules = frontend_to_lir({"T": source})
+        modules = compile_frontend({"T": source}).lir_modules
         fn = [f for f in modules[0].functions
               if f.symbol.endswith("::busy")][0]
         from repro.lir.passes import phielim
@@ -154,7 +154,7 @@ func f(x: Int) -> Int {
     return keep + other
 }
 """
-        _, modules = frontend_to_lir({"T": source})
+        modules = compile_frontend({"T": source}).lir_modules
         fn = [f for f in modules[0].functions if f.symbol.endswith("::f")][0]
         from repro.lir.passes import phielim
 
@@ -256,7 +256,7 @@ func f(x: Int) -> Int {
 
     def test_intervals_cover_defs_and_uses(self):
         source = "func f(a: Int, b: Int) -> Int { return a * b + a }"
-        _, modules = frontend_to_lir({"T": source})
+        modules = compile_frontend({"T": source}).lir_modules
         fn = modules[0].functions[0]
         from repro.lir.passes import phielim
 

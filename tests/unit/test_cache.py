@@ -243,8 +243,8 @@ class TestBuildLevelCaching:
     def test_frontend_config_change_invalidates_modules(self, tmp_path):
         sources = dict(_sources())
         build_program(sources, self._config(tmp_path))
-        flipped = build_program(sources,
-                                self._config(tmp_path, enable_arc_opt=False))
+        flipped = build_program(
+            sources, self._config(tmp_path, enable_sil_outlining=True))
         assert flipped.report.cache_misses == 3
 
     def test_backend_config_change_keeps_module_hits(self, tmp_path):

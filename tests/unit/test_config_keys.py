@@ -53,13 +53,6 @@ func main() {
 }
 """}
 
-#: The one key-tagged field no program can witness.  SILGen reloads a
-#: value from its stack slot before every release, so a retain and a
-#: release never name the same temp and the ARC optimizer never fires on
-#: compiled source.  The walk pins that: once it fires, this exemption
-#: fails and the field needs a witness program.
-UNWITNESSED = "enable_arc_opt"
-
 #: Stands for the path of a layout profile recorded from the app.
 PROFILE = "<profile>"
 
@@ -68,7 +61,6 @@ PROFILE = "<profile>"
 #: CONFIG_WIRE_EXCLUDED; a new field fails test_tables_cover_every_field
 #: until it has an entry in one of them.
 ALTERNATIVES = {
-    "enable_arc_opt": ("witness", {}, [False]),
     "enable_sil_outlining": ("witness", {}, [True]),
     "pipeline": ("app", {}, ["wholeprogram", "default"]),
     "target": ("app", {}, ["thumb2c"]),
@@ -197,8 +189,8 @@ def test_one_field_change_never_hits_a_stale_entry(field, programs, cold,
             uncached = _artifact(build_program(programs[program], b))
             assert _artifact(warm) == uncached, (field, value, shape)
             changed = changed or uncached != a_artifact
-    assert changed != (field == UNWITNESSED), (
-        f"{field} changes the {program} artifact: {changed}; a field that "
+    assert changed, (
+        f"{field} does not change the {program} artifact; a field that "
         f"changes nothing cannot be caught missing from its key")
 
 

@@ -7,7 +7,7 @@ from repro.pipeline import (
     BuildConfig,
     build_lir_modules,
     build_program,
-    frontend_to_lir,
+    compile_frontend,
     run_build,
 )
 
@@ -19,7 +19,7 @@ func main() { print(helper(x: 1)) }
 
 class TestFrontendToLIR:
     def test_produces_optimized_ssa_modules(self):
-        program, modules = frontend_to_lir({"M": SOURCE})
+        modules = compile_frontend({"M": SOURCE}).lir_modules
         assert len(modules) == 1
         module = modules[0]
         assert module.entry_symbol == "M::main"
@@ -32,8 +32,8 @@ class TestFrontendToLIR:
                        for i in fn.instructions())
 
     def test_accepts_pairs_and_dicts(self):
-        _, from_dict = frontend_to_lir({"M": SOURCE})
-        _, from_pairs = frontend_to_lir([("M", SOURCE)])
+        from_dict = compile_frontend({"M": SOURCE}).lir_modules
+        from_pairs = compile_frontend([("M", SOURCE)]).lir_modules
         assert from_dict[0].num_instrs == from_pairs[0].num_instrs
 
 

@@ -349,6 +349,21 @@ class TestRunningService:
             assert response["ok"] is False
             assert "unknown job" in response["message"]
 
+    def test_unknown_target_is_a_typed_job_error_not_an_infra_failure(
+            self, tmp_path):
+        """A job naming an unregistered target fails with the build's
+        typed error, and the breaker does not count it: three such jobs
+        leave it closed for everyone else's jobs."""
+        with running_service(tmp_path) as service:
+            for _ in range(3):
+                job = service.submit_job(SOURCES, {"target": "riscv"})
+                assert job.done.wait(timeout=30.0)
+                assert job.status == "error"
+                assert job.error["error"] == "ReproError"
+                assert "unknown target" in job.error["message"]
+            assert service.breaker.state == "closed"
+            assert service.breaker.trips == 0
+
     def test_breaker_open_forces_serial_uncached(self, tmp_path):
         with running_service(tmp_path, breaker_threshold=1,
                              breaker_window=2,

@@ -66,12 +66,9 @@ func main() {
     print(c.v + b.v)
 }
 """
-        with_opt = run_build(build_program({"M": source}, BuildConfig(
-            enable_arc_opt=True)))
-        without = run_build(build_program({"M": source}, BuildConfig(
-            enable_arc_opt=False)))
-        assert with_opt.output == without.output == ["6"]
-        assert with_opt.leaked == [] and without.leaked == []
+        result = run_build(build_program({"M": source}, BuildConfig()))
+        assert result.output == ["6"]
+        assert result.leaked == []
 
 
 class TestSILOutlining:
