@@ -254,8 +254,10 @@ class FuncDecl(Node):
     throws: bool = False
     body: Optional[Block] = None
     is_public: bool = True
-    #: Enclosing class for methods (set during sema header collection).
-    owner_class: object = field(default=None, compare=False)
+    #: Qualified name of the enclosing class for methods (set during sema
+    #: header collection).  A name, not the ClassDecl: the class lists its
+    #: methods, so a back-pointer would make every AST a reference cycle.
+    owner_class: str = field(default="", compare=False)
     #: Mangled symbol, e.g. ``module::name`` or ``module::Class.method``.
     symbol: str = field(default="", compare=False)
 
@@ -273,7 +275,8 @@ class InitDecl(Node):
     params: List[Param] = field(default_factory=list)
     throws: bool = False
     body: Optional[Block] = None
-    owner_class: object = field(default=None, compare=False)
+    #: Qualified name of the enclosing class (see ``FuncDecl.owner_class``).
+    owner_class: str = field(default="", compare=False)
     symbol: str = field(default="", compare=False)
 
 

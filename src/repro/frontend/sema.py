@@ -183,7 +183,7 @@ class Sema:
                     raise SemaError(
                         f"duplicate method {method.name!r} in {cls.name}",
                         method.line, method.column)
-                method.owner_class = cls
+                method.owner_class = qual
                 method.symbol = f"{module.name}::{cls.name}.{method.name}"
                 info.methods_by_name[method.name] = method
             seen_arity = set()
@@ -194,7 +194,7 @@ class Sema:
                         f"duplicate init with {arity} parameters in {cls.name}",
                         ini.line, ini.column)
                 seen_arity.add(arity)
-                ini.owner_class = cls
+                ini.owner_class = qual
                 ini.symbol = f"{module.name}::{cls.name}.init#{arity}"
             env.classes[cls.name] = info
             self.classes[qual] = info

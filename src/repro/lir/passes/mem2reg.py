@@ -72,7 +72,23 @@ def promote_allocas(fn: ir.LIRFunction) -> int:
 
     phi_var = {id(phi): var for (blk, var), phi in phi_for.items()}
 
-    def rename(label: str) -> None:
+    # replacement maps promoted load results to SSA operands; it grows as we
+    # rename, and later uses are rewritten through it (def dominates use).
+    replacement: Dict[int, ir.Operand] = {}
+
+    # Preorder walk of the dominator tree on an explicit stack.  Recursion
+    # would need the process-wide recursion limit raised for deep trees
+    # (shared with every other thread), and a recursive closure refers to
+    # itself: a reference cycle per promoted function.  An entry is a block
+    # to rename or, on leaving a block's subtree, the variables it pushed.
+    walk: List[object] = [fn.entry.label]
+    while walk:
+        item = walk.pop()
+        if isinstance(item, list):
+            for var in reversed(item):
+                stack[var].pop()
+            continue
+        label = item
         pushed: List[int] = []
         blk = fn.block(label)
         new_instrs: List[ir.LIRInstr] = []
@@ -103,22 +119,8 @@ def promote_allocas(fn: ir.LIRFunction) -> int:
                 phi = phi_for.get((succ, var))
                 if phi is not None:
                     phi.incomings.append((label, current(var)))
-        for child in children.get(label, []):
-            rename(child)
-        for var in reversed(pushed):
-            stack[var].pop()
-
-    # replacement maps promoted load results to SSA operands; it grows as we
-    # rename, and later uses are rewritten through it (def dominates use).
-    replacement: Dict[int, ir.Operand] = {}
-
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 10000 + 10 * len(fn.blocks)))
-    try:
-        rename(fn.entry.label)
-    finally:
-        sys.setrecursionlimit(old_limit)
+        walk.append(pushed)
+        walk.extend(reversed(children.get(label, [])))
 
     # A second sweep: fix any operands renamed after their use was visited
     # (cannot happen along dominator order, but phi incomings from back

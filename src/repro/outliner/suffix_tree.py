@@ -20,14 +20,19 @@ _END_SYMBOL_BASE = -1
 
 
 class _Node:
-    __slots__ = ("start", "end", "link", "children", "suffix_index")
+    __slots__ = ("start", "end", "link", "children", "index")
 
-    def __init__(self, start: int, end: Optional[int]):
+    def __init__(self, start: int, end: Optional[int], index: int = -1):
         self.start = start
         self.end = end  # None = leaf (grows to current end)
-        self.link: Optional["_Node"] = None
+        #: Suffix link, as a position in the tree's internal-node list
+        #: (0 = the root).  A link points across the tree, often at the
+        #: root, so a node reference would tie every internal node into a
+        #: reference cycle that only the cyclic collector can free.
+        self.link = 0
         self.children: Dict[int, "_Node"] = {}
-        self.suffix_index = -1
+        #: This node's position in the internal-node list (-1 = leaf).
+        self.index = index
 
 
 @dataclass
@@ -56,7 +61,9 @@ class SuffixTree:
 
     def __init__(self, seq: Optional[List[int]] = None):
         self.seq: List[int] = []
-        self.root = _Node(-1, -1)
+        self.root = _Node(-1, -1, 0)
+        #: Every internal node, root first, indexed by ``_Node.index``.
+        self._internal: List[_Node] = [self.root]
         self._active_node = self.root
         self._active_edge = -1  # index into seq of the edge's first symbol
         self._active_length = 0
@@ -78,6 +85,7 @@ class SuffixTree:
         """
         seq = self.seq
         root = self.root
+        internal = self._internal
         active_node = self._active_node
         active_edge = self._active_edge
         active_length = self._active_length
@@ -99,7 +107,7 @@ class SuffixTree:
                     leaf = _Node(i, None)
                     active_node.children[edge_symbol] = leaf
                     if last_internal is not None:
-                        last_internal.link = active_node
+                        last_internal.link = active_node.index
                         last_internal = None
                 else:
                     edge_len = self._edge_length(child)
@@ -112,24 +120,26 @@ class SuffixTree:
                         # Symbol already on the edge: extend active point.
                         active_length += 1
                         if last_internal is not None:
-                            last_internal.link = active_node
+                            last_internal.link = active_node.index
                         break
                     # Split the edge.
-                    split = _Node(child.start, child.start + active_length)
+                    split = _Node(child.start, child.start + active_length,
+                                  len(internal))
+                    internal.append(split)
                     active_node.children[edge_symbol] = split
                     leaf = _Node(i, None)
                     split.children[symbol] = leaf
                     child.start += active_length
                     split.children[seq[child.start]] = child
                     if last_internal is not None:
-                        last_internal.link = split
+                        last_internal.link = split.index
                     last_internal = split
                 remainder -= 1
                 if active_node is root and active_length > 0:
                     active_length -= 1
                     active_edge = i - remainder + 1
                 elif active_node is not root:
-                    active_node = active_node.link or root
+                    active_node = internal[active_node.link]
 
         self._active_node = active_node
         self._active_edge = active_edge

@@ -23,8 +23,11 @@ harness under ``tests/property`` enforces it.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import hashlib
 import pickle
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -633,6 +636,46 @@ def _machine_modules_loader(cache: ModuleCache, mm_key: str):
     return _load
 
 
+class _CollectorPause(contextlib.ContextDecorator):
+    """Keeps CPython's cyclic garbage collector off while any build runs.
+
+    A build allocates millions of objects and frees them all by reference
+    counting (no build forms a reference cycle), so a collector left on
+    only walks the growing heap, over and over, for no garbage.  The
+    collector is one per process, and so is this pause: nested builds and
+    concurrent builds in threads (the daemon's jobs) share one depth
+    count.  The outermost entry turns the collector off if it was on; the
+    outermost exit, exceptions included, collects the youngest generation
+    once, so the build pays for its own allocations inside its own wall
+    time, and turns it back on.  A caller that had the collector off keeps
+    it off.  Pool workers forked during a build inherit the pause (see
+    :func:`repro.pipeline.parallel._worker_init`).
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        #: Builds currently inside, across all threads.
+        self.depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self.depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self.depth += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self.depth -= 1
+            if self.depth == 0 and self._resume:
+                gc.collect(0)
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
 def build_program(sources: SourceModules,
                   config: Optional[BuildConfig] = None) -> BuildResult:
     """Full build: Swiftlet sources -> linked binary image for
@@ -839,6 +882,7 @@ def _items(sources: SourceModules) -> List[Tuple[str, str]]:
             else [(name, text) for name, text in sources])
 
 
+@_COLLECTOR_PAUSE
 def compile_frontend(sources: SourceModules,
                      config: Optional[BuildConfig] = None) -> ProgramArtifact:
     """Run the target-independent front half once, to a reusable artifact.
@@ -856,6 +900,7 @@ def compile_frontend(sources: SourceModules,
                          _frontend_report(len(items), config))
 
 
+@_COLLECTOR_PAUSE
 def compile_backend(artifact: ProgramArtifact,
                     config: Optional[BuildConfig] = None) -> BuildResult:
     """Consume a :class:`ProgramArtifact` through one target's back half.
@@ -880,6 +925,7 @@ def compile_backend(artifact: ProgramArtifact,
                          img_key)
 
 
+@_COLLECTOR_PAUSE
 def build_targets(sources: SourceModules,
                   targets: Sequence[str],
                   config: Optional[BuildConfig] = None

@@ -70,6 +70,13 @@ def _worker_init() -> None:
     locks that were held at fork time instead of dying.  A build worker
     must simply die on SIGTERM — that is how the executor stops the
     survivors of a pool whose worker crashed.
+
+    A worker forked during a build also inherits that build's pause of
+    the cyclic garbage collector (``repro.pipeline.build._CollectorPause``)
+    and keeps it for life.  That is correct: every task it runs is build
+    work, which reference counting frees completely, and a collector left
+    on would walk the heap copied from the parent, faulting its pages into
+    private copy-on-write copies.
     """
     try:
         signal.signal(signal.SIGTERM, signal.SIG_DFL)

@@ -233,15 +233,14 @@ def _find_self_binding(fn: ast.FuncDecl) -> ast.VarBinding:
     if found:
         return found[0]
     # Body never mentions self: synthesise a placeholder binding.
-    owner = fn.owner_class
-    ty = ClassType(owner.qualified_name) if owner is not None else None
+    ty = ClassType(fn.owner_class) if fn.owner_class else None
     return ast.VarBinding(name="self", ty=ty, is_let=True, kind="self", uid=-id(fn))
 
 
 #: Annotation fields that point *out* of the syntax tree (cyclic).
 #: Note "target" is structural on AssignStmt but an annotation on CallExpr.
 _NON_STRUCTURAL_FIELDS = frozenset(
-    {"binding", "owner_class", "member_kind", "captures", "error_binding"}
+    {"binding", "member_kind", "captures", "error_binding"}
 )
 
 

@@ -112,6 +112,46 @@ class TestMem2Reg:
         labels = {lbl for lbl, _ in phis[0].incomings}
         assert labels == {"entry", "body"}
 
+    def test_deep_dominator_tree_leaves_recursion_limit_alone(
+            self, monkeypatch):
+        # x = 0; then 3000 blocks in a chain, each x = x + 1; return x.
+        # The dominator tree is a chain deeper than the default recursion
+        # limit, and the limit is process-wide: a pass running in one of
+        # the daemon's job threads must not change it under the other.
+        depth = 3000
+        fn = ir.LIRFunction(symbol="chain", has_return_value=True)
+        entry = fn.new_block("entry")
+        slot = fn.new_value()
+        entry.instrs.append(ir.Alloca(result=slot, name="x"))
+        entry.instrs.append(ir.Store(value=ir.Const(0), ptr=slot))
+        entry.instrs.append(ir.Br(target="b0"))
+        sums = []
+        for k in range(depth):
+            blk = fn.new_block(f"b{k}")
+            old, new = fn.new_value(), fn.new_value()
+            blk.instrs.append(ir.Load(result=old, ptr=slot))
+            blk.instrs.append(ir.BinOp(result=new, op="+", lhs=old,
+                                       rhs=ir.Const(1)))
+            blk.instrs.append(ir.Store(value=new, ptr=slot))
+            blk.instrs.append(ir.Br(target=f"b{k + 1}"))
+            sums.append(new)
+        exit_ = fn.new_block(f"b{depth}")
+        out = fn.new_value()
+        exit_.instrs.append(ir.Load(result=out, ptr=slot))
+        exit_.instrs.append(ir.Ret(value=out))
+
+        def forbidden(limit):
+            raise AssertionError(f"setrecursionlimit({limit}) called")
+
+        monkeypatch.setattr("sys.setrecursionlimit", forbidden)
+        assert mem2reg.promote_allocas(fn) == 1
+        kinds = {type(i).__name__ for i in fn.instructions()}
+        assert not kinds & {"Alloca", "Load", "Store"}
+        adds = [i for i in fn.instructions() if isinstance(i, ir.BinOp)]
+        assert adds[0].lhs == ir.Const(0)
+        assert [add.lhs for add in adds[1:]] == sums[:-1]
+        assert fn.block(f"b{depth}").terminator.value == sums[-1]
+
 
 class TestConstProp:
     def test_folds_arithmetic(self):
