@@ -8,6 +8,7 @@ annotations and never re-does name resolution.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -309,6 +310,54 @@ class Module(Node):
     functions: List[FuncDecl] = field(default_factory=list)
     classes: List[ClassDecl] = field(default_factory=list)
     globals: List[GlobalDecl] = field(default_factory=list)
+    #: Closures in the module, counted by the parser.  Sema numbers
+    #: closures from a per-module base: the sum of earlier modules' counts.
+    closure_count: int = field(default=0, compare=False)
+    #: Digest of everything an importer can observe, set by the parser:
+    #: imports, function signatures, classes with their fields, inits and
+    #: method signatures, and globals with their declared types and
+    #: initializers.  Bodies and source positions are left out.
+    interface: str = field(default="", compare=False)
+    #: True for a :meth:`header`: sema collects and resolves its
+    #: declarations but checks no body, and SILGen skips it.
+    is_header: bool = field(default=False, compare=False)
+
+    def header(self) -> "Module":
+        """This module's parsed declarations with every body stripped.
+
+        Declarations are fresh nodes, so sema's annotations on this module
+        never reach the header (and the other way round).  A global's
+        initializer gets a fresh root but shares its operands, which sema
+        folds without writing to them.  Call it before sema: the header
+        keeps the declarations as parsed.
+        """
+        return Module(
+            name=self.name, imports=list(self.imports),
+            functions=[_func_header(fn) for fn in self.functions],
+            classes=[ClassDecl(
+                name=cls.name, is_final=cls.is_final,
+                fields=[FieldDecl(name=f.name, ty=f.ty, is_let=f.is_let)
+                        for f in cls.fields],
+                methods=[_func_header(m) for m in cls.methods],
+                inits=[InitDecl(params=_params_header(ini.params),
+                                throws=ini.throws) for ini in cls.inits])
+                for cls in self.classes],
+            globals=[GlobalDecl(is_let=g.is_let, name=g.name,
+                                declared_type=g.declared_type,
+                                init=copy.copy(g.init))
+                     for g in self.globals],
+            closure_count=self.closure_count, interface=self.interface,
+            is_header=True)
+
+
+def _params_header(params: List[Param]) -> List[Param]:
+    return [Param(name=p.name, ty=p.ty) for p in params]
+
+
+def _func_header(fn: FuncDecl) -> FuncDecl:
+    return FuncDecl(name=fn.name, params=_params_header(fn.params),
+                    ret_type=fn.ret_type, throws=fn.throws,
+                    is_public=fn.is_public)
 
 
 # --- Bindings (produced by sema) ----------------------------------------------

@@ -3,11 +3,19 @@
 Produces the AST of one module.  Newlines separate statements (as in Swift);
 semicolons are also accepted.  The parser performs no name resolution; that
 is sema's job.
+
+While it builds a module the parser also records the facts the build
+cache keys on (:mod:`repro.pipeline.cache`), so no later pass walks the
+tree for them: the number of closures, and the module's *interface
+digest* — a hash of the tokens of every declaration an importer can
+observe (imports, signatures, class members, globals), with bodies,
+newlines and source positions left out.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import hashlib
+from typing import List, Optional, Tuple
 
 from repro.errors import ParseError
 from repro.frontend import ast
@@ -69,6 +77,9 @@ class Parser:
         self.pos = 0
         self.module_name = module_name
         self.filename = filename
+        self._closures = 0
+        #: Token ranges [start, end) that make up the interface digest.
+        self._interface: List[Tuple[int, int]] = []
 
     # -- token plumbing -----------------------------------------------------
 
@@ -125,15 +136,32 @@ class Parser:
             return
         raise self._error(f"expected end of statement, found {self._peek().text!r}")
 
+    def _declared(self, start: int) -> None:
+        """Add the tokens from *start* to here to the interface digest."""
+        self._interface.append((start, self.pos))
+
+    def _interface_digest(self) -> str:
+        parts: List[str] = []
+        for start, end in self._interface:
+            parts.extend(repr(tok.value) if tok.kind is TokenKind.STRING
+                         else tok.text
+                         for tok in self.tokens[start:end]
+                         if tok.kind is not TokenKind.NEWLINE)
+            parts.append("\x01")  # ends one declaration
+        text = "\x00".join(parts)
+        return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+
     # -- module & declarations -----------------------------------------------
 
     def parse_module(self) -> ast.Module:
         module = ast.Module(name=self.module_name)
         self._skip_newlines()
         while self._check(TokenKind.KW_IMPORT):
+            start = self.pos
             self._advance()
             name = self._expect(TokenKind.IDENT, "module name").text
             module.imports.append(name)
+            self._declared(start)
             self._end_statement()
             self._skip_newlines()
         while not self._check(TokenKind.EOF):
@@ -152,9 +180,12 @@ class Parser:
                     f"expected declaration at module scope, found {tok.text!r}"
                 )
             self._skip_newlines()
+        module.closure_count = self._closures
+        module.interface = self._interface_digest()
         return module
 
     def _parse_func(self) -> ast.FuncDecl:
+        first = self.pos
         start = self._expect(TokenKind.KW_FUNC, "'func'")
         name = self._expect(TokenKind.IDENT, "function name").text
         params = self._parse_param_clause()
@@ -162,6 +193,7 @@ class Parser:
         ret_type: Type = VOID
         if self._match(TokenKind.ARROW):
             ret_type = self._parse_type()
+        self._declared(first)
         body = self._parse_block()
         return ast.FuncDecl(
             line=start.line,
@@ -195,15 +227,18 @@ class Parser:
         return params
 
     def _parse_class(self) -> ast.ClassDecl:
+        first = self.pos
         start = self._expect(TokenKind.KW_CLASS, "'class'")
         name = self._expect(TokenKind.IDENT, "class name").text
         decl = ast.ClassDecl(line=start.line, column=start.column, name=name)
         self._expect(TokenKind.LBRACE, "'{'")
+        self._declared(first)
         self._skip_newlines()
         while not self._check(TokenKind.RBRACE):
             while self._peek().kind in (TokenKind.KW_PUBLIC, TokenKind.KW_FINAL):
                 self._advance()
             tok = self._peek()
+            member = self.pos
             if tok.kind in (TokenKind.KW_VAR, TokenKind.KW_LET):
                 is_let = tok.kind is TokenKind.KW_LET
                 self._advance()
@@ -214,11 +249,13 @@ class Parser:
                     ast.FieldDecl(line=tok.line, column=tok.column, name=fname,
                                   ty=fty, is_let=is_let)
                 )
+                self._declared(member)
                 self._end_statement()
             elif tok.kind is TokenKind.KW_INIT:
                 self._advance()
                 params = self._parse_param_clause()
                 throws = bool(self._match(TokenKind.KW_THROWS))
+                self._declared(member)
                 body = self._parse_block()
                 decl.inits.append(
                     ast.InitDecl(line=tok.line, column=tok.column, params=params,
@@ -229,10 +266,15 @@ class Parser:
             else:
                 raise self._error(f"expected class member, found {tok.text!r}")
             self._skip_newlines()
+        # The closing brace is part of the digest: it tells a method from
+        # a free function declared right after the class.
+        close = self.pos
         self._expect(TokenKind.RBRACE, "'}'")
+        self._declared(close)
         return decl
 
     def _parse_global(self) -> ast.GlobalDecl:
+        first = self.pos
         tok = self._advance()  # let / var
         is_let = tok.kind is TokenKind.KW_LET
         name = self._expect(TokenKind.IDENT, "global name").text
@@ -241,6 +283,7 @@ class Parser:
             declared_type = self._parse_type()
         self._expect(TokenKind.ASSIGN, "'=' (globals require an initializer)")
         init = self._parse_expr()
+        self._declared(first)
         self._end_statement()
         return ast.GlobalDecl(
             line=tok.line, column=tok.column, is_let=is_let, name=name,
@@ -561,6 +604,7 @@ class Parser:
 
     def _parse_closure(self) -> ast.ClosureExpr:
         tok = self._expect(TokenKind.LBRACE, "'{'")
+        self._closures += 1
         self._skip_newlines()
         self._expect(TokenKind.LPAREN, "closure parameter clause '('")
         # Re-enter the shared param-clause parser from after '('.

@@ -3,7 +3,9 @@
 ``analyze_program`` resolves names across modules, type-checks every body,
 annotates the AST in place (``Expr.ty``, ``Ident.binding``, call resolution,
 closure capture lists), and returns a :class:`ProgramInfo` that SILGen
-consumes.
+consumes.  A module given as a header (declarations only) stands in for a
+module whose code an incremental build already has: the others check
+against its declarations.
 
 Key jobs beyond ordinary checking:
 
@@ -87,6 +89,8 @@ class ModuleEnv:
 class ProgramInfo:
     """Result of sema over a whole program (a set of modules)."""
 
+    #: Every module in program order; headers among them had their
+    #: declarations resolved but no body checked.
     modules: List[ast.Module]
     envs: Dict[str, ModuleEnv]
     classes_by_qualified_name: Dict[str, ClassInfo]
@@ -144,8 +148,16 @@ class Sema:
                         f"{imp!r}", module.line, module.column)
         for module in self.modules:
             self._resolve_signatures(module)
+        # Closures are numbered from a per-module base, the sum of the
+        # counts the parser took of every earlier module, so checking a
+        # module alone numbers them exactly as checking the whole program
+        # would.  (Type ids need no seeding: header collection above
+        # already numbers every class in program order.)
+        closure_base = 0
         for module in self.modules:
+            self._closure_counter = closure_base
             self._check_module(module)
+            closure_base += module.closure_count
         return ProgramInfo(
             modules=self.modules,
             envs=self.envs,
@@ -334,6 +346,11 @@ class Sema:
         self._current_module = self.envs[module.name]
         for gbl in module.globals:
             self._check_global(gbl)
+        if module.is_header:
+            # Importers read the folded globals' types and bindings; a
+            # header has no bodies to check.
+            self._current_module = None
+            return
         for fn in module.functions:
             self._check_function(fn, kind="func")
         for cls in module.classes:
@@ -1076,5 +1093,12 @@ class Sema:
 
 
 def analyze_program(modules: List[ast.Module]) -> ProgramInfo:
-    """Run semantic analysis over a whole program (all modules together)."""
+    """Run semantic analysis over a whole program (all modules together).
+
+    *modules* lists every module in program order.  Any of them may be a
+    :meth:`~repro.frontend.ast.Module.header` instead of a full parse:
+    its declarations are collected and resolved, so the other modules'
+    bodies check against it, but it has no bodies to check.  Type ids
+    and closure numbers come out the same either way.
+    """
     return Sema(modules).run()

@@ -9,9 +9,10 @@ needs (LIR, machine modules, outlining statistics, size report).
 The driver is incremental and parallel (§VII-C is about exactly this cost):
 
 * with ``BuildConfig.incremental`` it consults a content-addressed cache
-  (:mod:`repro.pipeline.cache`) at two levels — per-module optimized LIR
-  and the fully linked image — so rebuilding an unchanged program skips
-  everything after source hashing;
+  (:mod:`repro.pipeline.cache`) — per-module optimized LIR and the fully
+  linked image among its levels — so rebuilding an unchanged program
+  skips everything after source hashing, and an edit parses, checks and
+  lowers only the modules whose key missed;
 * with ``BuildConfig.workers > 1`` per-module lowering (SIL -> LIR, and
   per-module llc in the default pipeline) fans out across forked worker
   processes (:mod:`repro.pipeline.parallel`).
@@ -33,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backend.llc import LLCOptions, run_llc
 from repro.errors import ReproError
+from repro.frontend import ast
 from repro.frontend.parser import parse_module
 from repro.frontend.sema import ProgramInfo, analyze_program
 from repro.isa.instructions import MachineModule
@@ -52,7 +54,7 @@ from repro.pipeline.cancel import checkpoint
 from repro.pipeline.config import BuildConfig
 from repro.pipeline.report import BuildReport
 from repro.runtime.objects import ClassLayout, TypeRegistry
-from repro.sil.silgen import generate_sil
+from repro.sil.silgen import generate_sil, program_signatures
 
 SourceModules = Union[Dict[str, str], Sequence[Tuple[str, str]]]
 
@@ -394,7 +396,8 @@ def _valid_module_entry(entry: object) -> bool:
     return (isinstance(entry, dict)
             and isinstance(entry.get("lir"), lir_ir.LIRModule)
             and isinstance(entry.get("layouts"), list)
-            and isinstance(entry.get("fnsig"), str))
+            and isinstance(entry.get("fnsig"), str)
+            and isinstance(entry.get("header"), ast.Module))
 
 
 def _assemble_module(sm, signatures, hits) -> Tuple[lir_ir.LIRModule, int]:
@@ -440,30 +443,41 @@ def _apply_sil_passes(sil_modules, config: BuildConfig) -> None:
 @dataclass
 class _ProbeState:
     """Cheap per-module identity, computed before any entry is loaded:
-    source hashes, cached (or freshly derived) metas, and the transitive
-    module keys.  Enough to form the image key — so a fully-warm build
-    can hit the whole-image entry without deserializing per-module LIR."""
+    source hashes, cached (or freshly parsed) metas, and the module keys.
+    Enough to form the image key — so a fully-warm build can hit the
+    whole-image entry without deserializing per-module LIR."""
 
     hashes: Dict[str, str]
     metas: Dict[str, "cache_mod.ModuleMeta"]
     keys: List[str]
-    parsed: Dict[str, object]
+    #: The modules whose meta missed, already parsed.
+    parsed: Dict[str, ast.Module]
+
+
+def _parse(name: str, text: str, report: BuildReport) -> ast.Module:
+    """One module's parse, billed to the ``parse`` phase (one span each)."""
+    with report.phase("parse"):
+        return parse_module(text, name)
 
 
 def _probe_modules(items: List[Tuple[str, str]], config: BuildConfig,
                    cache: ModuleCache, report: BuildReport) -> _ProbeState:
-    parsed: Dict[str, object] = {}
-    metas: Dict[str, cache_mod.ModuleMeta] = {}
     hashes = {name: cache_mod.fingerprint_source(text)
               for name, text in items}
+    metas: Dict[str, cache_mod.ModuleMeta] = {}
     with report.phase("cache-probe"):
-        for name, text in items:
+        for name, _ in items:
             meta = cache.load(cache_mod.meta_key(hashes[name]))
-            if not isinstance(meta, cache_mod.ModuleMeta):
-                parsed[name] = parse_module(text, name)
-                meta = cache_mod.meta_from_ast(parsed[name])
-                cache.store(cache_mod.meta_key(hashes[name]), meta)
-            metas[name] = meta
+            if isinstance(meta, cache_mod.ModuleMeta):
+                metas[name] = meta
+    parsed = {name: _parse(name, text, report)
+              for name, text in items if name not in metas}
+    if parsed:
+        with report.phase("cache-store"):
+            for name, module in parsed.items():
+                metas[name] = cache_mod.meta_from_ast(module)
+                cache.store(cache_mod.meta_key(hashes[name]), metas[name])
+    with report.phase("cache-probe"):
         keys = cache_mod.module_keys(
             items, hashes, metas, config.frontend_fingerprint(),
             whole_program_coupling=config.enable_sil_outlining)
@@ -475,10 +489,15 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
               report: BuildReport,
               probe: Optional[_ProbeState] = None) -> "ProgramArtifact":
     """Sources -> optimized per-module LIR, using the cache and workers;
-    *report* becomes the artifact's ``frontend_report``."""
+    *report* becomes the artifact's ``frontend_report``.
+
+    Only the modules whose key missed are parsed, checked and lowered:
+    sema checks their bodies against the headers the hit modules' entries
+    carry.  An uncached build is the case where every module misses.
+    """
     fingerprint = _artifact_fingerprint(items, config)
     names = [name for name, _ in items]
-    parsed: Dict[str, object] = {}
+    parsed: Dict[str, ast.Module] = {}
     keys: Optional[List[str]] = None
     cached: Dict[str, dict] = {}
 
@@ -492,6 +511,11 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
                 entry = cache.load(key)
                 if _valid_module_entry(entry):
                     cached[name] = entry  # type: ignore[assignment]
+        if config.enable_sil_outlining and len(cached) < len(names):
+            # SIL outlining types its helpers against the whole program's
+            # SIL (its keys couple every module), so a partial build
+            # compiles every module.
+            cached = {}
         report.cache_hits = len(cached)
         report.cache_misses = len(names) - len(cached)
 
@@ -512,21 +536,22 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
             llc_base_keys=[cached[name]["fnsig"] for name in names],
             frontend_report=report)
 
-    # At least one module must be compiled: whole-program sema is required
-    # (type ids and closure numbering span modules), and SILGen runs on all
-    # modules exactly as in a cold build so a partially-warm build cannot
-    # diverge from it.
-    with report.phase("parse"):
-        for name, text in items:
-            if name not in parsed:
-                parsed[name] = parse_module(text, name)
+    # Parse, check and generate SIL for the misses only.  A hit module
+    # enters sema as its cached header, so the misses resolve their
+    # imports, type ids and closure numbers exactly as in a cold build.
+    for name, text in items:
+        if name not in cached and name not in parsed:
+            parsed[name] = _parse(name, text, report)
+    headers = ({name: parsed[name].header() for name in misses}
+               if cache is not None else {})
     with report.phase("sema"):
-        program = analyze_program([parsed[name] for name in names])
+        program = analyze_program([
+            cached[name]["header"] if name in cached else parsed[name]
+            for name in names])
     with report.phase("silgen"):
         sil_modules = generate_sil(program)
         _apply_sil_passes(sil_modules, config)
-    signatures = {fn.symbol: fn
-                  for sm in sil_modules for fn in sm.functions}
+    signatures = program_signatures(program, sil_modules)
     sil_by_name = {sm.name: sm for sm in sil_modules}
 
     # Function level: inside each module-level miss, probe for per-function
@@ -586,7 +611,8 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
                 if name in lowered:
                     cache.store(key, {"lir": lowered[name],
                                       "layouts": layouts.get(name, []),
-                                      "fnsig": content_keys[name]})
+                                      "fnsig": content_keys[name],
+                                      "header": headers[name]})
             for name in misses:
                 hits = fn_hits.get(name, {})
                 by_symbol = {fn.symbol: fn for fn in lowered[name].functions}

@@ -1,25 +1,43 @@
 """Content-addressed build cache for the pipeline.
 
-Two artifact levels, both keyed by stable content hashes so that any change
-to an input produces a different key (never a stale hit):
+Every key is a stable content hash, so any change to an input produces a
+different key (never a stale hit).  The levels, from cheapest to load:
+
+* **Module meta** — per source hash, the facts the parser records while
+  it builds the module (:class:`ModuleMeta`): its imports, its class and
+  closure counts, and its *interface digest*, a hash of every
+  declaration an importer can observe (imports, function signatures,
+  classes with their fields, inits and method signatures, globals with
+  their declared types and initializers; bodies and source positions
+  left out).  The metas alone yield every module key, so a probe parses
+  only modules whose source is new.
 
 * **Module LIR** — one entry per source module holding its optimized
-  :class:`~repro.lir.ir.LIRModule` plus the class layouts sema assigned to
-  it.  Because Swiftlet sema numbers class type-ids and closure symbols
-  *program-wide* (in module order), a module's generated code depends on
-  more than its own text; the key therefore covers
+  :class:`~repro.lir.ir.LIRModule`, the class layouts sema assigned to
+  it, its function-content key, and its *header* (the parsed
+  declarations with bodies stripped).  Sema numbers class type ids and
+  closure symbols *program-wide* (in module order), so the key covers
 
   - the module's source text,
-  - the sources of its transitive imports (headers, folded constants),
+  - the interface digests of its transitive imports (not their sources:
+    a body-only edit to an imported module leaves its importers' keys
+    alone),
   - the type-id/closure-counter bases contributed by every earlier module,
   - the frontend-tagged :class:`BuildConfig` fields, and
   - :data:`PIPELINE_CACHE_VERSION`.
 
-* **Linked image** — the fully linked :class:`BinaryImage` (plus machine
-  modules, outlining stats and the type registry), keyed by the ordered
-  module keys and the backend config fields.  A warm rebuild of an
-  unchanged program under an unchanged config deserializes the image and
-  skips every compilation phase.
+  A build compiles only the modules whose key missed; sema checks their
+  bodies against the headers of the modules that hit.
+
+* **Function LIR** and **module machine code** — see
+  :func:`function_key` and :func:`llc_key`.
+
+* **Linked image** — the fully linked :class:`BinaryImage` (plus outlining
+  stats, pass reports and class layouts; the machine listing rides in a
+  sidecar), keyed by the ordered module keys and the backend config
+  fields.  A warm rebuild of an unchanged program under an unchanged
+  config loads the metas and this one entry and skips every compilation
+  phase.
 
 Entries are pickles under ``cache_dir/objects/<k[:2]>/<k>.pkl`` written
 atomically (temp file + rename, so a crashed writer can never leave a
@@ -38,7 +56,7 @@ import pickle
 import tempfile
 import time as _time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, is_dataclass, fields as dc_fields
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # POSIX advisory locking; absent on some platforms.
@@ -61,7 +79,9 @@ from repro.pipeline.faults import FaultPlan
 #: the linked image.
 #: "5": config fingerprints are rendered from the BuildConfig stage tags,
 #: and per-module machine-code entries carry their merge-pass reports.
-PIPELINE_CACHE_VERSION = "5"
+#: "6": module keys fold in the interface digests of imports instead of
+#: their source hashes; metas carry the digest, module entries a header.
+PIPELINE_CACHE_VERSION = "6"
 
 
 def fingerprint_source(text: str) -> str:
@@ -77,7 +97,7 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()
 
 
-# --- module metadata (what a module contributes to global counters) ---------
+# --- module metadata (what a module contributes to other modules' keys) -----
 
 
 @dataclass(frozen=True)
@@ -87,36 +107,16 @@ class ModuleMeta:
     imports: Tuple[str, ...]
     class_count: int
     closure_count: int
-
-
-def count_closures(node: object) -> int:
-    """Number of ``ClosureExpr`` nodes in an AST subtree.
-
-    Sema numbers closures with one program-wide counter in visit order; the
-    *count* per module is all a later module's key needs.
-    """
-    count = 0
-    stack = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (list, tuple)):
-            stack.extend(item)
-            continue
-        if not is_dataclass(item) or isinstance(item, type):
-            continue
-        if isinstance(item, ast.ClosureExpr):
-            count += 1
-        for f in dc_fields(item):
-            value = getattr(item, f.name, None)
-            if isinstance(value, (ast.Node, list, tuple)):
-                stack.append(value)
-    return count
+    #: The parser's interface digest (see :attr:`ast.Module.interface`).
+    interface: str
 
 
 def meta_from_ast(module: ast.Module) -> ModuleMeta:
+    """The facts the parser recorded while it built *module*."""
     return ModuleMeta(imports=tuple(module.imports),
                       class_count=len(module.classes),
-                      closure_count=count_closures(module))
+                      closure_count=module.closure_count,
+                      interface=module.interface)
 
 
 # --- key computation ---------------------------------------------------------
@@ -144,6 +144,10 @@ def module_keys(items: Sequence[Tuple[str, str]],
                 whole_program_coupling: bool = False) -> List[str]:
     """Cache key per module, in program order.
 
+    A module's code depends on its own source, on what its transitive
+    imports declare (their interface digests), and on the class and
+    closure counts of every earlier module (its counter bases).
+
     ``whole_program_coupling`` folds the whole-program fingerprint into
     every key; used when a config flag (e.g. SIL outlining) makes module
     codegen depend on the entire program rather than imports + counters.
@@ -159,7 +163,7 @@ def module_keys(items: Sequence[Tuple[str, str]],
             f"bases:{type_id_base}:{closure_base}",
             f"self:{name}={hashes[name]}",
         ]
-        parts.extend(f"dep:{dep}={hashes[dep]}"
+        parts.extend(f"dep:{dep}={metas[dep].interface}"
                      for dep in _transitive_imports(name, metas, order))
         if whole_program_coupling:
             parts.append(f"program:{program_fp}")

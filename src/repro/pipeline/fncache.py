@@ -93,12 +93,13 @@ def interns_digest(sm: sil.SILModule) -> str:
 def module_content_key(sm: sil.SILModule, function_keys: List[str]) -> str:
     """Content identity of a module's *assembled* LIR (llc cache base).
 
-    The module-level cache key couples a module to the source of its
-    transitive imports, so editing one function invalidates the module
-    key of everything downstream even when their LIR is unchanged.  This
-    key instead derives from what the LIR actually is — the ordered
-    per-function keys plus the lowered globals — so an unchanged
-    downstream module keeps its machine-code cache entry.
+    The module-level cache key couples a module to the interfaces of its
+    transitive imports and to the class and closure counts of every
+    earlier module, so a signature edit or a new class invalidates the
+    module key of everything downstream even when their LIR is
+    unchanged.  This key instead derives from what the LIR actually is —
+    the ordered per-function keys plus the lowered globals — so an
+    unchanged downstream module keeps its machine-code cache entry.
     """
     globals_tag = [f"{g.symbol};{g.ty};{g.const_value!r};"
                    f"{int(g.is_let)};{g.origin_module}"

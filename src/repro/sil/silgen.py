@@ -1292,5 +1292,46 @@ class _FunctionEmitter:
 
 
 def generate_sil(program: ProgramInfo) -> List[sil.SILModule]:
-    """Lower every module of a checked program to SIL."""
-    return [ModuleSILGen(module, program).run() for module in program.modules]
+    """Lower every module of a checked program to SIL, headers excepted."""
+    return [ModuleSILGen(module, program).run()
+            for module in program.modules if not module.is_header]
+
+
+def program_signatures(program: ProgramInfo,
+                       sil_modules: List[sil.SILModule]
+                       ) -> Dict[str, sil.SILFunction]:
+    """Symbol -> SIL function for every function the program defines.
+
+    The generated modules contribute their functions; each header module
+    contributes body-less stand-ins for its functions, inits and methods
+    (the shape ``parallel._signature_stubs`` ships to workers).  IRGen and
+    the function cache read only callee parameter and return types, which
+    the header's resolved declarations carry.
+    """
+    table: Dict[str, sil.SILFunction] = {}
+    for module in program.modules:
+        if not module.is_header:
+            continue
+        for fn in module.functions:
+            table[fn.symbol] = _stub(fn.symbol, [p.ty for p in fn.params],
+                                     fn.ret_type, module.name)
+        for cls in module.classes:
+            owner = ClassType(cls.qualified_name)
+            for ini in cls.inits:
+                table[ini.symbol] = _stub(ini.symbol,
+                                          [p.ty for p in ini.params],
+                                          owner, module.name)
+            for method in cls.methods:
+                table[method.symbol] = _stub(
+                    method.symbol, [owner] + [p.ty for p in method.params],
+                    method.ret_type, module.name)
+    for sm in sil_modules:
+        for fn in sm.functions:
+            table[fn.symbol] = fn
+    return table
+
+
+def _stub(symbol: str, param_types: List[Type], ret_type: Type,
+          module: str) -> sil.SILFunction:
+    return sil.SILFunction(symbol=symbol, param_types=param_types,
+                           ret_type=ret_type, source_module=module)

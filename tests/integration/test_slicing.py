@@ -2,8 +2,9 @@
 
 Pins the PR-10 tentpole contract:
 
-* a two-target sliced build runs parse/sema/silgen exactly once
-  (asserted from tracer span counts, the only timing-free evidence);
+* a two-target sliced build parses each module once and runs sema and
+  silgen exactly once (asserted from tracer span counts, the only
+  timing-free evidence);
 * every slice is bit-identical to a standalone single-target build;
 * the ``compile_frontend`` / ``compile_backend`` seam composes to the
   same bytes as the fused ``build_program``;
@@ -74,8 +75,10 @@ class TestSlicedBuild:
                                     BuildConfig(outline_rounds=2))
         counts = _span_counts(tracer)
         # The target-independent front half ran exactly once for two
-        # targets; each target got its own backend.
-        for phase in ("parse", "sema", "silgen", "frontend"):
+        # targets (each module parsed once, under its own span); each
+        # target got its own backend.
+        assert counts.get("parse") == len(SOURCES), counts
+        for phase in ("sema", "silgen", "frontend"):
             assert counts.get(phase) == 1, (phase, counts)
         assert counts.get("backend") == 2
         assert counts.get("build") == 1

@@ -8,18 +8,22 @@ import multiprocessing
 import os
 import threading
 import time
+from dataclasses import fields, is_dataclass
 
+from repro.frontend import ast
 from repro.frontend.parser import parse_module
 from repro.pipeline import BuildConfig, build_program
 from repro.pipeline import cache as cache_mod
 from repro.pipeline.cache import (
     ModuleCache,
-    count_closures,
     fingerprint_source,
     meta_from_ast,
     module_keys,
 )
 from repro.pipeline.faults import FaultPlan
+from repro.workloads.appgen import AppSpec, generate_app
+from tests.property import test_interface_edits as edits
+from tests.property.test_outline_equivalence import ProgramGenerator
 
 LIB = """
 class Pair {
@@ -50,6 +54,27 @@ func unrelated(x: Int) -> Int { return x - 1 }
 
 def _sources():
     return [("Lib", LIB), ("Other", OTHER), ("Main", MAIN)]
+
+
+def count_closures(node: object) -> int:
+    """Reference count of ``ClosureExpr`` nodes in an AST subtree: a walk
+    over every dataclass field, which the parser's own count must equal."""
+    count = 0
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (list, tuple)):
+            stack.extend(item)
+            continue
+        if not is_dataclass(item) or isinstance(item, type):
+            continue
+        if isinstance(item, ast.ClosureExpr):
+            count += 1
+        for f in fields(item):
+            value = getattr(item, f.name, None)
+            if isinstance(value, (ast.Node, list, tuple)):
+                stack.append(value)
+    return count
 
 
 def _keys(items, fingerprint="fp"):
@@ -100,6 +125,26 @@ class TestModuleKeys:
             "    return g(1) + h(2)\n"
             "}\n", "M")
         assert count_closures(module) == 2
+        assert module.closure_count == 2
+        assert meta_from_ast(module).closure_count == 2
+
+    def test_parser_counts_match_the_reference_walk(self):
+        programs = [generate_app(AppSpec(seed=seed)) for seed in (1, 2)]
+        programs += [{"Gen": ProgramGenerator(seed).generate()}
+                     for seed in range(12)]
+        edited = {name: edits.Mod(imports=list(edits.IMPORTS[name]),
+                                  closures=i % 3)
+                  for i, name in enumerate(edits.MODULES)}
+        programs.append(edits.render(edited))
+        closures = 0
+        for program in programs:
+            for name, text in program.items():
+                module = parse_module(text, name)
+                meta = meta_from_ast(module)
+                assert meta.closure_count == count_closures(module), name
+                assert meta.class_count == len(module.classes), name
+                closures += meta.closure_count
+        assert closures > 0  # the corpora exercise the count
 
 
 class TestModuleCacheStore:

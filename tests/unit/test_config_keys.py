@@ -14,13 +14,16 @@ field, every alternative value and both pipeline shapes:
 A field left out of its key lets warm B resurrect A's entry, so each
 field's alternatives must also change the artifact in at least one shape
 (otherwise the walk would have no teeth for it).  Speed and robustness
-fields must leave the artifact unchanged.
+fields must leave the artifact unchanged.  A hypothesis differential then
+changes several key-tagged fields at once, drawn from the same table.
 """
 
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.errors import ReproError
 from repro.pipeline import (
     BuildConfig,
     CancelScope,
@@ -192,6 +195,43 @@ def test_one_field_change_never_hits_a_stale_entry(field, programs, cold,
     assert changed, (
         f"{field} does not change the {program} artifact; a field that "
         f"changes nothing cannot be caught missing from its key")
+
+
+#: Key-tagged fields that change the ``app`` program (the walk above
+#: proves each one alone); the multi-field differential draws from these.
+APP_FIELDS = sorted(f for f, (program, _, _) in ALTERNATIVES.items()
+                    if program == "app")
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_multi_field_change_never_hits_a_stale_entry(data, programs, cold,
+                                                     profile_path):
+    """Several key-tagged fields changed at once.  Every B builds warm
+    into the same cache as A and as the Bs drawn before it, so a key that
+    misses any of the drawn fields (or confuses two of them) can hit a
+    stale entry from any earlier build."""
+    shape = data.draw(st.sampled_from(SHAPES), label="shape")
+    config, _, cache_dir = cold("app", {}, shape)
+    names = data.draw(st.lists(st.sampled_from(APP_FIELDS), min_size=2,
+                               max_size=4, unique=True), label="fields")
+    changes = {}
+    for name in names:
+        value = data.draw(st.sampled_from(ALTERNATIVES[name][2]), label=name)
+        changes[name] = profile_path if value == PROFILE else value
+    b = dataclasses.replace(config, **changes)
+    warm_b = dataclasses.replace(b, incremental=True, cache_dir=cache_dir)
+    try:
+        uncached = build_program(programs["app"], b)
+    except ReproError as exc:
+        # A contradictory combination (near-callers outlining under a
+        # reordering layout) is refused; warm, it must be refused too,
+        # never served from an entry another config left behind.
+        with pytest.raises(type(exc)):
+            build_program(programs["app"], warm_b)
+        return
+    assert _artifact(build_program(programs["app"], warm_b)) == _artifact(
+        uncached), (shape, changes)
 
 
 @pytest.mark.parametrize("field", sorted(SPEED_ALTERNATIVES))
