@@ -616,11 +616,10 @@ class ModuleIRGen:
     def preintern_strings(self) -> None:
         """Intern every string constant in whole-module lowering order.
 
-        ``.strN`` numbering is first-use order across the module; the
-        function-level cache assembles modules from a mix of cached and
-        freshly lowered functions, so the table must be populated up
-        front — in exactly the order a full :meth:`run` would produce —
-        for the per-function lowerings to agree on symbols.
+        ``.strN`` numbering is first-use order across the module, which
+        is exactly this scan's order, so interning up front names every
+        literal as lowering them one by one would: a module assembled
+        from cached and freshly lowered functions agrees on symbols.
         """
         for silfn in self.sil_module.functions:
             for block in silfn.blocks:
@@ -634,10 +633,20 @@ class ModuleIRGen:
         self.module.functions.append(fn)
         return fn
 
-    def run(self) -> ir.LIRModule:
+    def run(self, cached: Optional[Dict[str, ir.LIRFunction]] = None
+            ) -> ir.LIRModule:
+        """Lower the module.  A function whose symbol is in *cached* is
+        taken from there as it is (already optimized LIR); the rest are
+        lowered fresh."""
+        cached = cached or {}
         self.lower_globals()
+        self.preintern_strings()
         for silfn in self.sil_module.functions:
-            self.lower_function(silfn)
+            fn = cached.get(silfn.symbol)
+            if fn is None:
+                self.lower_function(silfn)
+            else:
+                self.module.functions.append(fn)
         return self.module
 
 

@@ -11,11 +11,14 @@ The driver is incremental and parallel (§VII-C is about exactly this cost):
 * with ``BuildConfig.incremental`` it consults a content-addressed cache
   (:mod:`repro.pipeline.cache`) — per-module optimized LIR and the fully
   linked image among its levels — so rebuilding an unchanged program
-  skips everything after source hashing, and an edit parses, checks and
-  lowers only the modules whose key missed;
+  skips everything after source hashing, and any other build takes one
+  frontend path whatever hit: it parses, checks and lowers only the
+  modules whose key missed, and inside those relowers only the functions
+  whose function key missed;
 * with ``BuildConfig.workers > 1`` per-module lowering (SIL -> LIR, and
   per-module llc in the default pipeline) fans out across forked worker
-  processes (:mod:`repro.pipeline.parallel`).
+  processes (:mod:`repro.pipeline.parallel`), partly cached modules
+  included.
 
 Both features are required to be **bit-identical** to a cold serial build
 (same image bytes, same outlining statistics); the determinism test
@@ -39,7 +42,6 @@ from repro.frontend.parser import parse_module
 from repro.frontend.sema import ProgramInfo, analyze_program
 from repro.isa.instructions import MachineModule
 from repro.lir import ir as lir_ir
-from repro.lir.irgen import ModuleIRGen
 from repro.lir.linker import LinkOptions, link_modules
 from repro.lir.passes.manager import PassManager, osize_pipeline
 from repro.obs import trace as obs_trace
@@ -53,7 +55,7 @@ from repro.pipeline.cache import ModuleCache
 from repro.pipeline.cancel import checkpoint
 from repro.pipeline.config import BuildConfig
 from repro.pipeline.report import BuildReport
-from repro.runtime.objects import ClassLayout, TypeRegistry
+from repro.runtime.objects import TypeRegistry
 from repro.sil.silgen import generate_sil, program_signatures
 
 SourceModules = Union[Dict[str, str], Sequence[Tuple[str, str]]]
@@ -379,55 +381,17 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
 # --- cached / parallel frontend ----------------------------------------------
 
 
-def _module_layouts(program: ProgramInfo) -> Dict[str, List[ClassLayout]]:
-    """Class layouts grouped by defining module (cache payload)."""
-    grouped: Dict[str, List[ClassLayout]] = {}
-    for info in program.classes_by_qualified_name.values():
-        decl = info.decl
-        refs = [f.index for f in decl.fields if f.ty.is_ref()]
-        grouped.setdefault(info.module, []).append(
-            ClassLayout(type_id=decl.type_id, name=decl.qualified_name,
-                        num_fields=len(decl.fields),
-                        ref_field_indices=refs))
-    return grouped
-
-
 def _valid_module_entry(entry: object) -> bool:
     return (isinstance(entry, dict)
             and isinstance(entry.get("lir"), lir_ir.LIRModule)
-            and isinstance(entry.get("layouts"), list)
             and isinstance(entry.get("fnsig"), str)
             and isinstance(entry.get("header"), ast.Module))
 
 
-def _assemble_module(sm, signatures, hits) -> Tuple[lir_ir.LIRModule, int]:
-    """Build one module's optimized LIR from cached + fresh functions.
-
-    Globals are lowered and the string-intern table pre-populated in
-    whole-module order first, so the freshly lowered functions agree with
-    the cached ones on ``.strN`` numbering; the fresh functions are then
-    optimized through a scratch module — every -Osize cleanup pass is
-    function-local, so this is bit-identical to optimizing the whole
-    module (the function-cache determinism tests pin that).
-    """
-    gen = ModuleIRGen(sm, signatures)
-    gen.lower_globals()
-    gen.preintern_strings()
-    fresh: List[lir_ir.LIRFunction] = []
-    for silfn in sm.functions:
-        cached_fn = hits.get(silfn.symbol)
-        if cached_fn is not None:
-            gen.module.functions.append(cached_fn)
-        else:
-            fresh.append(gen.lower_function(silfn))
-    if fresh:
-        scratch = lir_ir.LIRModule(name=sm.name)
-        scratch.functions = fresh
-        optimize_module(scratch)
-    return gen.module, len(fresh)
-
-
-def _apply_sil_passes(sil_modules, config: BuildConfig) -> None:
+def _apply_sil_passes(sil_modules, signatures, config: BuildConfig) -> None:
+    """The SIL passes.  SIL outlining types its helpers against
+    *signatures* (header stubs stand in for the modules that hit) and
+    adds each helper it creates to the table."""
     from repro.sil.passes import arc_opt
 
     for sm in sil_modules:
@@ -435,7 +399,6 @@ def _apply_sil_passes(sil_modules, config: BuildConfig) -> None:
     if config.enable_sil_outlining:
         from repro.sil.passes import outline as sil_outline
 
-        signatures = sil_outline.build_signatures(sil_modules)
         for sm in sil_modules:
             sil_outline.run_on_module(sm, signatures=signatures)
 
@@ -443,12 +406,10 @@ def _apply_sil_passes(sil_modules, config: BuildConfig) -> None:
 @dataclass
 class _ProbeState:
     """Cheap per-module identity, computed before any entry is loaded:
-    source hashes, cached (or freshly parsed) metas, and the module keys.
-    Enough to form the image key — so a fully-warm build can hit the
-    whole-image entry without deserializing per-module LIR."""
+    the module keys.  Enough to form the image key — so a fully-warm
+    build can hit the whole-image entry without deserializing per-module
+    LIR."""
 
-    hashes: Dict[str, str]
-    metas: Dict[str, "cache_mod.ModuleMeta"]
     keys: List[str]
     #: The modules whose meta missed, already parsed.
     parsed: Dict[str, ast.Module]
@@ -478,10 +439,9 @@ def _probe_modules(items: List[Tuple[str, str]], config: BuildConfig,
                 metas[name] = cache_mod.meta_from_ast(module)
                 cache.store(cache_mod.meta_key(hashes[name]), metas[name])
     with report.phase("cache-probe"):
-        keys = cache_mod.module_keys(
-            items, hashes, metas, config.frontend_fingerprint(),
-            whole_program_coupling=config.enable_sil_outlining)
-    return _ProbeState(hashes=hashes, metas=metas, keys=keys, parsed=parsed)
+        keys = cache_mod.module_keys(items, hashes, metas,
+                                     config.frontend_fingerprint())
+    return _ProbeState(keys=keys, parsed=parsed)
 
 
 def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
@@ -491,9 +451,11 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
     """Sources -> optimized per-module LIR, using the cache and workers;
     *report* becomes the artifact's ``frontend_report``.
 
-    Only the modules whose key missed are parsed, checked and lowered:
-    sema checks their bodies against the headers the hit modules' entries
-    carry.  An uncached build is the case where every module misses.
+    One path, whatever hit: only the modules whose key missed are
+    parsed, checked, SIL-generated and lowered, and sema checks their
+    bodies against the headers the hit modules' entries carry.  An
+    uncached build is the case where every module misses; a build where
+    every module hit runs sema over headers alone, for the registry.
     """
     fingerprint = _artifact_fingerprint(items, config)
     names = [name for name, _ in items]
@@ -511,34 +473,13 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
                 entry = cache.load(key)
                 if _valid_module_entry(entry):
                     cached[name] = entry  # type: ignore[assignment]
-        if config.enable_sil_outlining and len(cached) < len(names):
-            # SIL outlining types its helpers against the whole program's
-            # SIL (its keys couple every module), so a partial build
-            # compiles every module.
-            cached = {}
         report.cache_hits = len(cached)
         report.cache_misses = len(names) - len(cached)
-
-    misses = [name for name in names if name not in cached]
-    if cache is not None and not misses:
-        # Every module hit: reassemble the registry from the cached class
-        # layouts and skip parse/sema/SILGen entirely.
-        registry = TypeRegistry()
-        lir_modules = []
-        for name in names:
-            entry = cached[name]
-            for layout in entry["layouts"]:
-                registry.register(layout)
-            lir_modules.append(entry["lir"])
-        return ProgramArtifact(
-            lir_modules=lir_modules, program=None, registry=registry,
-            fingerprint=fingerprint, module_keys=keys,
-            llc_base_keys=[cached[name]["fnsig"] for name in names],
-            frontend_report=report)
 
     # Parse, check and generate SIL for the misses only.  A hit module
     # enters sema as its cached header, so the misses resolve their
     # imports, type ids and closure numbers exactly as in a cold build.
+    misses = [name for name in names if name not in cached]
     for name, text in items:
         if name not in cached and name not in parsed:
             parsed[name] = _parse(name, text, report)
@@ -550,8 +491,8 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
             for name in names])
     with report.phase("silgen"):
         sil_modules = generate_sil(program)
-        _apply_sil_passes(sil_modules, config)
-    signatures = program_signatures(program, sil_modules)
+        signatures = program_signatures(program, sil_modules)
+        _apply_sil_passes(sil_modules, signatures, config)
     sil_by_name = {sm.name: sm for sm in sil_modules}
 
     # Function level: inside each module-level miss, probe for per-function
@@ -586,31 +527,18 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
         report.fn_cache_hits = sum(len(h) for h in fn_hits.values())
         report.fn_cache_misses = total_fns - report.fn_cache_hits
 
-    # Modules with zero function hits take the whole-module path (which
-    # can fan out across workers); partially-hit modules are assembled
-    # function by function in the parent.
-    full_misses = [name for name in misses if name not in fn_hits]
-    partial = [name for name in misses if name in fn_hits]
-
     with report.phase("lower"):
-        lowered = parallel.lower_modules(sil_by_name, signatures,
-                                         full_misses, config, report)
-        recompiled = sum(len(sil_by_name[name].functions)
-                         for name in full_misses)
-        for name in partial:
-            module, n_fresh = _assemble_module(
-                sil_by_name[name], signatures, fn_hits[name])
-            lowered[name] = module
-            recompiled += n_fresh
-    report.functions_recompiled = recompiled
+        lowered = parallel.lower_modules(sil_by_name, signatures, fn_hits,
+                                         config, report)
+    report.functions_recompiled = sum(
+        len(sm.functions) - len(fn_hits.get(sm.name, {}))
+        for sm in sil_modules)
 
     if cache is not None and keys is not None:
         with report.phase("cache-store"):
-            layouts = _module_layouts(program)
             for name, key in zip(names, keys):
                 if name in lowered:
                     cache.store(key, {"lir": lowered[name],
-                                      "layouts": layouts.get(name, []),
                                       "fnsig": content_keys[name],
                                       "header": headers[name]})
             for name in misses:
@@ -864,7 +792,7 @@ class ProgramArtifact:
     """
 
     lir_modules: List[lir_ir.LIRModule]
-    program: Optional[ProgramInfo]
+    program: ProgramInfo
     registry: TypeRegistry
     #: Content identity: source hashes + frontend fingerprint.
     fingerprint: str

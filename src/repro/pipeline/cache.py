@@ -13,10 +13,10 @@ different key (never a stale hit).  The levels, from cheapest to load:
   only modules whose source is new.
 
 * **Module LIR** — one entry per source module holding its optimized
-  :class:`~repro.lir.ir.LIRModule`, the class layouts sema assigned to
-  it, its function-content key, and its *header* (the parsed
-  declarations with bodies stripped).  Sema numbers class type ids and
-  closure symbols *program-wide* (in module order), so the key covers
+  :class:`~repro.lir.ir.LIRModule`, its function-content key, and its
+  *header* (the parsed declarations with bodies stripped).  Sema numbers
+  class type ids and closure symbols *program-wide* (in module order),
+  so the key covers
 
   - the module's source text,
   - the interface digests of its transitive imports (not their sources:
@@ -26,8 +26,11 @@ different key (never a stale hit).  The levels, from cheapest to load:
   - the frontend-tagged :class:`BuildConfig` fields, and
   - :data:`PIPELINE_CACHE_VERSION`.
 
-  A build compiles only the modules whose key missed; sema checks their
-  bodies against the headers of the modules that hit.
+  Nothing else enters: even SIL outlining, which types its helpers by
+  callee signatures, reads imported callees only through what the
+  interface digests cover.  A build compiles only the modules whose key
+  missed; sema checks their bodies against the headers of the modules
+  that hit, and the class layouts come from those headers too.
 
 * **Function LIR** and **module machine code** — see
   :func:`function_key` and :func:`llc_key`.
@@ -81,7 +84,10 @@ from repro.pipeline.faults import FaultPlan
 #: and per-module machine-code entries carry their merge-pass reports.
 #: "6": module keys fold in the interface digests of imports instead of
 #: their source hashes; metas carry the digest, module entries a header.
-PIPELINE_CACHE_VERSION = "6"
+#: "7": module entries drop their class layouts (the registry comes from
+#: the headers), and SIL outlining no longer folds a whole-program digest
+#: into every module key.
+PIPELINE_CACHE_VERSION = "7"
 
 
 def fingerprint_source(text: str) -> str:
@@ -140,20 +146,14 @@ def _transitive_imports(name: str, metas: Dict[str, ModuleMeta],
 def module_keys(items: Sequence[Tuple[str, str]],
                 hashes: Dict[str, str],
                 metas: Dict[str, ModuleMeta],
-                frontend_fingerprint: str,
-                whole_program_coupling: bool = False) -> List[str]:
+                frontend_fingerprint: str) -> List[str]:
     """Cache key per module, in program order.
 
     A module's code depends on its own source, on what its transitive
     imports declare (their interface digests), and on the class and
     closure counts of every earlier module (its counter bases).
-
-    ``whole_program_coupling`` folds the whole-program fingerprint into
-    every key; used when a config flag (e.g. SIL outlining) makes module
-    codegen depend on the entire program rather than imports + counters.
     """
     order = [name for name, _ in items]
-    program_fp = _digest(*(f"{name}={hashes[name]}" for name in order))
     keys: List[str] = []
     type_id_base = 0
     closure_base = 0
@@ -165,8 +165,6 @@ def module_keys(items: Sequence[Tuple[str, str]],
         ]
         parts.extend(f"dep:{dep}={metas[dep].interface}"
                      for dep in _transitive_imports(name, metas, order))
-        if whole_program_coupling:
-            parts.append(f"program:{program_fp}")
         keys.append(_digest(*parts))
         type_id_base += metas[name].class_count
         closure_base += metas[name].closure_count

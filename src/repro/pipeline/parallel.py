@@ -6,12 +6,12 @@ that follows it: SIL -> LIR -> -Osize cleanups in the frontend, and
 per-module ``llc`` in the default (Figure 2) pipeline.
 
 Inputs reach a chunk one way: each task carries its own self-contained
-payload (the chunk's SIL modules plus a stubbed signature table for
-lowering, the chunk's LIR modules for llc).  The same payload feeds a
-per-build pool, the persistent cross-build pool, and the serial in-parent
-re-run, so concurrent builds share no payload state.  A request for one
-worker or one item runs the chunk function in this process, with no pool
-and no pickling.
+payload (the chunk's SIL modules, their function-cache hits and a stubbed
+signature table for lowering, the chunk's LIR modules for llc).  The same
+payload feeds a per-build pool, the persistent cross-build pool, and the
+serial in-parent re-run, so concurrent builds share no payload state.  A
+request for one worker or one item runs the chunk function in this
+process, with no pool and no pickling.
 
 Failure handling is a ladder, not a cliff.  Each chunk independently gets:
 
@@ -221,15 +221,24 @@ def resolve_workers(workers: int) -> int:
 
 def _lower_chunk(payload: Dict[str, object],
                  names: Sequence[str]) -> List[Tuple[str, object]]:
+    """Lower each module, reusing its function-cache hits, and optimize
+    only the freshly lowered functions: every -Osize cleanup pass is
+    function-local, so that equals optimizing the whole module."""
+    from repro.lir.ir import LIRModule
     from repro.lir.irgen import ModuleIRGen
     from repro.pipeline.build import optimize_module
 
     sil_by_name = payload["sil_by_name"]
     signatures = payload["signatures"]
+    fn_hits = payload["fn_hits"]
     out = []
     for name in names:
-        module = ModuleIRGen(sil_by_name[name], signatures).run()
-        optimize_module(module)
+        hits = fn_hits.get(name, {})
+        module = ModuleIRGen(sil_by_name[name], signatures).run(hits)
+        fresh = LIRModule(name=name)
+        fresh.functions = [fn for fn in module.functions
+                           if fn.symbol not in hits]
+        optimize_module(fresh)
         out.append((name, module))
     return out
 
@@ -555,20 +564,26 @@ def _fan_out(kind: str, chunks: List[List], payloads: List[Dict[str, object]],
 
 def lower_modules(sil_by_name: Dict[str, object],
                   signatures: Dict[str, object],
-                  names: Sequence[str], config: BuildConfig,
+                  fn_hits: Dict[str, Dict[str, object]],
+                  config: BuildConfig,
                   report: Optional[BuildReport] = None) -> Dict[str, object]:
-    """Lower ``names`` to optimized LIR: name -> LIRModule.
+    """Lower every module of ``sil_by_name`` to optimized LIR: name ->
+    LIRModule.  ``fn_hits[name]`` maps a function symbol to its cached
+    optimized LIR, which the module reuses instead of relowering.
 
     Fans out across ``config.workers`` processes; one worker or one
     module lowers in this process.
     """
-    chunks = _round_robin(list(names), resolve_workers(config.workers))
+    names = list(sil_by_name)
+    chunks = _round_robin(names, resolve_workers(config.workers))
     if len(chunks) <= 1:
         return dict(_lower_chunk({"sil_by_name": sil_by_name,
-                                  "signatures": signatures}, names))
+                                  "signatures": signatures,
+                                  "fn_hits": fn_hits}, names))
     stubs = _signature_stubs(signatures)
     payloads = [{"sil_by_name": {n: sil_by_name[n] for n in chunk},
-                 "signatures": stubs}
+                 "signatures": stubs,
+                 "fn_hits": {n: fn_hits[n] for n in chunk if n in fn_hits}}
                 for chunk in chunks]
     return dict(_fan_out("lower", chunks, payloads, config, report))
 

@@ -24,21 +24,18 @@ from repro.sil import sil
 MIN_OCCURRENCES = 4
 
 
-def build_signatures(modules) -> Dict[str, sil.SILFunction]:
-    """Whole-program symbol -> SILFunction table (for typing helpers)."""
-    table: Dict[str, sil.SILFunction] = {}
-    for module in modules:
-        for fn in module.functions:
-            table[fn.symbol] = fn
-    return table
-
-
 def run_on_module(module: sil.SILModule,
                   signatures: Optional[Dict[str, sil.SILFunction]] = None
                   ) -> Dict[str, int]:
-    """Returns metrics: sites outlined, helpers created."""
-    signatures = signatures if signatures is not None else build_signatures(
-        [module])
+    """Returns metrics: sites outlined, helpers created.
+
+    *signatures* (default: the module's own functions) types the
+    callees; it needs only their parameter and return types, so an
+    imported callee may be a body-less stub.  Each helper created is
+    added to it.
+    """
+    if signatures is None:
+        signatures = {fn.symbol: fn for fn in module.functions}
     # Pass 1: census of (callee, nargs, has_result) retain+apply shapes.
     census: Dict[Tuple[str, int, bool], int] = {}
     for fn in module.functions:

@@ -178,8 +178,15 @@ class ModuleSILGen:
         self.sil_module.functions.append(silfn)
 
     def thunk_for(self, fn: ast.FuncDecl, fty: FuncType) -> str:
-        """Bare forwarding thunk so a plain function can be a closure value."""
+        """Bare forwarding thunk so a plain function can be a closure value.
+
+        The thunk lives in the referencing module, so an imported
+        function's thunk is named inside it (``A::Lib::twice$thunk``):
+        two modules taking the same import as a value link two thunks.
+        """
         symbol = f"{fn.symbol}$thunk"
+        if not fn.symbol.startswith(f"{self.module.name}::"):
+            symbol = f"{self.module.name}::{symbol}"
         if symbol in self._thunks:
             return symbol
         self._thunks[symbol] = symbol

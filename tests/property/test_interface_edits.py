@@ -13,8 +13,10 @@ a diamond (Core -> Left, Right -> Top):
 
 Every call site follows its callee's current signature, so each edited
 program compiles.  After every edit, on both pipeline shapes and both
-targets, the warm build must equal an uncached serial build in text,
-data, outlining stats and pass reports.
+targets, and once more with SIL outlining on (every importer of a module
+with a class forms a helper for that class's method), the warm build must
+equal an uncached serial build in text, data, outlining stats and pass
+reports.
 """
 
 import dataclasses
@@ -99,8 +101,12 @@ def render(program: Dict[str, Mod]) -> Dict[str, str]:
             _call(lines, f"{dep.lower()}F0", program[dep].fns[0], "acc % 89")
             lines.append(f"    acc = acc + {dep.lower()}Run(x: acc % 13)")
             if program[dep].classes:
+                # Four calls of one imported method on a retained
+                # receiver: SIL outlining forms a helper for them.
                 lines += [f"    let d{dep} = {dep}C0(v: acc % 11)",
-                          f"    acc = acc + d{dep}.f0 + d{dep}.total()"]
+                          f"    acc = acc + d{dep}.f0 + d{dep}.total()",
+                          f"    acc = acc + d{dep}.total() + d{dep}.total()"
+                          f" + d{dep}.total()"]
         for j in range(len(mod.classes)):
             lines += [f"    let o{j} = {name}C{j}(v: acc % 17)",
                       f"    acc = acc + o{j}.total()"]
@@ -157,15 +163,20 @@ _EDITS = st.lists(st.tuples(st.sampled_from(EDIT_KINDS),
                   min_size=1, max_size=5)
 
 
-@pytest.mark.parametrize("target", ["arm64", "thumb2c"])
-@pytest.mark.parametrize("pipeline", ["default", "wholeprogram"])
+@pytest.mark.parametrize("pipeline,target,sil_outlining", [
+    pytest.param(pipeline, target, False, id=f"{pipeline}-{target}")
+    for pipeline in ("default", "wholeprogram")
+    for target in ("arm64", "thumb2c")
+] + [pytest.param("default", "arm64", True, id="default-arm64-sil-outlining")])
 @settings(max_examples=8, deadline=None)
 @given(edits=_EDITS)
-def test_warm_builds_after_edits_equal_uncached(pipeline, target, edits):
+def test_warm_builds_after_edits_equal_uncached(pipeline, target,
+                                                sil_outlining, edits):
     program = {name: Mod(imports=list(IMPORTS[name])) for name in MODULES}
     cache_dir = tempfile.mkdtemp(prefix="repro-iface-")
     config = BuildConfig(pipeline=pipeline, target=target, outline_rounds=1,
-                         incremental=True, cache_dir=cache_dir)
+                         incremental=True, cache_dir=cache_dir,
+                         enable_sil_outlining=sil_outlining)
     try:
         build_program(render(program), config)
         for edit in edits:

@@ -8,7 +8,9 @@ lowers only the modules whose key missed.  So:
   exactly one module key and parses one module;
 * an edit to what ``Base`` declares misses every transitive importer;
 * a new class or closure moves the counter bases of every later module;
-* with SIL outlining on, every module still keys on the whole program;
+* with SIL outlining on, which types its helpers by imported callees'
+  signatures, a body edit still misses one module key and an evicted
+  module entry recompiles only that module;
 * every single-function edit still relowers one function and recompiles
   one module's machine code.
 """
@@ -21,7 +23,8 @@ import pytest
 
 from repro.frontend.parser import parse_module
 from repro.obs import Tracer, use_tracer
-from repro.pipeline import BuildConfig, build_program
+from repro.pipeline import (BuildConfig, build_program, compile_frontend,
+                            parallel)
 from repro.pipeline.cache import (ModuleCache, fingerprint_source,
                                   meta_from_ast, module_keys)
 from repro.workloads.appgen import (AppSpec, edit_function,
@@ -132,13 +135,6 @@ class TestKeys:
                               | _importers(app, module))
             assert "Base" not in missed
 
-    def test_sil_outlining_keys_on_the_whole_program(self, app):
-        func = sorted(function_fingerprints(SPEC)["Feature2"])[0]
-        edited = {**app, "Feature2": edit_function(app["Feature2"], func)}
-        before = _keys(app, whole_program_coupling=True)
-        after = _keys(edited, whole_program_coupling=True)
-        assert all(before[name] != after[name] for name in app)
-
 
 class TestBuilds:
     def test_cold_cached_build_bills_each_parse_to_parse(self, app,
@@ -196,21 +192,155 @@ class TestBuilds:
             assert report.functions_recompiled == 1, module
             assert report.llc_cache_misses == 1, module
 
-    def test_sil_outlining_partial_miss_compiles_every_module(self, app,
-                                                              tmp_path):
-        config = _config(tmp_path, enable_sil_outlining=True)
-        build_program(app, config)
-        # Evict one module entry, and miss the image through a backend
+    def test_all_hit_image_miss_rebuild_runs_sema_on_headers(self, app,
+                                                            tmp_path):
+        # A link-tagged field misses the image key and no module key.
+        config = _config(tmp_path, layout="random", layout_seed=1)
+        cold = build_program(app, config)
+        flipped = replace(config, layout_seed=2)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            warm = build_program(app, flipped)
+        report = warm.report
+        assert not report.image_cache_hit
+        assert (report.cache_hits, report.cache_misses) == (len(app), 0)
+        assert _parse_spans(tracer) == 0
+        assert report.functions_recompiled == 0
+        assert warm.registry._classes == cold.registry._classes
+        assert len(warm.registry._classes) > 0
+        assert _same_image(warm, _uncached(app, layout="random",
+                                           layout_seed=2))
+
+    @pytest.mark.parametrize("persistent", [False, True])
+    def test_partly_hit_modules_lower_on_workers(self, app, tmp_path,
+                                                 persistent):
+        config = BuildConfig.preset("fast-build", cache_dir=str(tmp_path),
+                                    workers=2,
+                                    persistent_workers=persistent)
+        edited = _edited(app, "Base", "func bump() {",
+                         "func bump(_ unused: Int) {")
+        edited = {name: text.replace("bump()", "bump(unused: 0)")
+                  for name, text in edited.items()}
+        # Both builds traced: a worker records spans only if it was
+        # forked under a tracer, and the persistent pool forks in the first.
+        tracer = Tracer()
+        try:
+            with use_tracer(tracer):
+                build_program(app, config)
+                warm = build_program(edited, config)
+        finally:
+            parallel.shutdown_persistent_pool()
+        report = warm.report
+        assert report.cache_misses == 1 + len(_importers(app, "Base"))
+        # The missed modules reuse most of their functions from the
+        # function cache, and still lower on both workers.
+        assert report.fn_cache_hits > report.functions_recompiled > 0
+        assert report.degradations == []
+        chunks = [span for span in tracer.roots[-1].walk()
+                  if span.name == "worker-chunk:lower"]
+        assert len(chunks) == 2
+        assert _same_image(warm, _uncached(edited))
+
+
+#: A cross-module SIL-outlining witness (the appgen corpus forms no
+#: helper): every module calls ``Lib.weigh`` at least 4 times with a
+#: retained reference argument, so each forms a helper typed by that
+#: callee's signature, read from ``Lib``'s header when ``Lib`` hit.  Each
+#: module also has one function no call site touches, for body edits.
+WITNESS = {
+    "Lib": """
+class Box {
+    var v: Int
+    init(v: Int) {
+        self.v = v
+    }
+}
+func weigh(b: Box) -> Int {
+    return b.v * 2 + 1
+}
+func libScale(x: Int) -> Int {
+    return x - 1
+}
+func libTotal(b: Box) -> Int {
+    let t = weigh(b: b) + weigh(b: b) + weigh(b: b)
+    return t + weigh(b: b) + libScale(x: b.v)
+}
+""",
+    "A": """
+import Lib
+func aScale(x: Int) -> Int {
+    return x * 3
+}
+func aTotal(n: Int) -> Int {
+    let b = Box(v: n)
+    let t = weigh(b: b) + weigh(b: b) + weigh(b: b)
+    return t + weigh(b: b) + aScale(x: n)
+}
+""",
+    "Main": """
+import Lib
+import A
+func mainScale(x: Int) -> Int {
+    return x + 11
+}
+func main() {
+    let b = Box(v: 2)
+    let t = weigh(b: b) + weigh(b: b) + weigh(b: b)
+    print(t + weigh(b: b))
+    print(libTotal(b: b) + aTotal(n: 3) + mainScale(x: 1))
+}
+""",
+}
+
+#: One body-only edit per witness module, in a function with no outlined
+#: call site.
+WITNESS_EDITS = {"Lib": ("return x - 1", "return x - 2"),
+                 "A": ("return x * 3", "return x * 4"),
+                 "Main": ("return x + 11", "return x + 12")}
+
+
+class TestSILOutlining:
+    def test_witness_forms_helpers_in_several_modules(self):
+        artifact = compile_frontend(WITNESS, BuildConfig(
+            enable_sil_outlining=True, incremental=False, workers=1))
+        with_helpers = {module.name for module in artifact.lir_modules
+                        if any("sil_outlined$" in fn.symbol
+                               for fn in module.functions)}
+        assert len(with_helpers) >= 2
+        assert with_helpers - {"Lib"}, "no helper on an imported callee"
+
+    @pytest.mark.parametrize("pipeline", ["default", "wholeprogram"])
+    def test_body_edit_misses_one_module_key(self, tmp_path, pipeline):
+        config = _config(tmp_path, enable_sil_outlining=True,
+                         pipeline=pipeline)
+        build_program(WITNESS, config)
+        sources = dict(WITNESS)
+        for module, (old, new) in WITNESS_EDITS.items():
+            sources = _edited(sources, module, old, new)
+            warm = build_program(sources, config)
+            assert warm.report.cache_misses == 1, module
+            assert warm.report.functions_recompiled == 1, module
+            assert _same_image(warm, _uncached(
+                sources, enable_sil_outlining=True, pipeline=pipeline))
+
+    @pytest.mark.parametrize("pipeline", ["default", "wholeprogram"])
+    def test_evicted_module_entry_recompiles_only_that_module(self, tmp_path,
+                                                              pipeline):
+        config = _config(tmp_path, enable_sil_outlining=True,
+                         pipeline=pipeline)
+        build_program(WITNESS, config)
+        # Evict A's module entry, and miss the image through a backend
         # field, so the frontend sees 1 miss among hits.
-        items = list(app.items())
+        items = list(WITNESS.items())
         hashes = {name: fingerprint_source(text) for name, text in items}
         metas = {name: meta_from_ast(parse_module(text, name))
                  for name, text in items}
         keys = module_keys(items, hashes, metas,
-                           config.frontend_fingerprint(),
-                           whole_program_coupling=True)
-        os.unlink(ModuleCache(str(tmp_path))._path(keys[3]))
-        rebuilt = build_program(app, replace(config, outline_rounds=2))
-        assert rebuilt.report.cache_misses == len(app)
+                           config.frontend_fingerprint())
+        os.unlink(ModuleCache(str(tmp_path))._path(keys[1]))
+        rebuilt = build_program(WITNESS, replace(config, outline_rounds=2))
+        assert rebuilt.report.cache_misses == 1
+        assert rebuilt.report.functions_recompiled == 0
         assert _same_image(rebuilt, _uncached(
-            app, enable_sil_outlining=True, outline_rounds=2))
+            WITNESS, enable_sil_outlining=True, pipeline=pipeline,
+            outline_rounds=2))

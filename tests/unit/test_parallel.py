@@ -338,7 +338,7 @@ class TestPersistentPool:
 class TestOnePayloadPath:
     """Lowering and llc reach their chunk functions one way: serially in
     this process, on a per-build pool, or on the persistent pool, every
-    case returns the same modules."""
+    case returns the same modules, a partly cached module included."""
 
     @pytest.fixture(autouse=True)
     def _fresh_pool(self):
@@ -365,11 +365,18 @@ class TestOnePayloadPath:
                       for sm in sil_modules for fn in sm.functions}
         names = list(sil_by_name)
         assert len(names) > 2
+        # Every other function of one module comes from the function
+        # cache, as optimized LIR; the rest of it is lowered fresh.
+        uncached = parallel.lower_modules(sil_by_name, signatures, {},
+                                          BuildConfig(workers=1))
+        partial = pickle.loads(pickle.dumps(uncached[names[1]].functions))
+        assert len(partial) > 2
+        fn_hits = {names[1]: {fn.symbol: fn for fn in partial[::2]}}
 
         def lower_then_llc(config):
             report = BuildReport()
-            lowered = parallel.lower_modules(sil_by_name, signatures, names,
-                                             config, report)
+            lowered = parallel.lower_modules(sil_by_name, signatures,
+                                             fn_hits, config, report)
             lir = [lowered[name] for name in names]
             # llc rewrites its input in place; keep the lowered copy intact.
             outputs = parallel.llc_modules(pickle.loads(pickle.dumps(lir)),
@@ -387,6 +394,7 @@ class TestOnePayloadPath:
         persistent = lower_then_llc(BuildConfig(outline_rounds=1, workers=2,
                                                 persistent_workers=True))
         assert parallel._PERSISTENT_POOL is not None
+        assert serial[0] == [uncached[name] for name in names]
         for lir, outputs in (per_build, persistent):
             assert lir == serial[0]
             assert [o.module for o in outputs] == [o.module

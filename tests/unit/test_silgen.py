@@ -1,7 +1,10 @@
 """SILGen structural tests: ARC insertion, error unwinding, init flags."""
 
+import pytest
+
 from repro.frontend.parser import parse_module
 from repro.frontend.sema import analyze_program
+from repro.pipeline import BuildConfig, build_program, run_build
 from repro.sil import sil
 from repro.sil.silgen import generate_sil
 
@@ -164,6 +167,36 @@ func main() { print(apply(f: double)) }
     thunks = [fn for fn in m.functions if fn.symbol.endswith("$thunk")]
     assert len(thunks) == 1
     assert thunks[0].is_bare
+    assert thunks[0].symbol == "T::double$thunk"
+
+
+#: Two modules take the same imported function as a value.
+THUNK_PROGRAM = {
+    "Lib": "func twice(x: Int) -> Int { return x * 2 }\n",
+    "A": "import Lib\nfunc fromA() -> Int {\n    let f = twice\n"
+         "    return f(4)\n}\n",
+    "Main": "import Lib\nimport A\nfunc main() {\n    print(fromA())\n"
+            "    let f = twice\n    print(f(3))\n}\n",
+}
+
+
+@pytest.mark.parametrize("pipeline", ["default", "wholeprogram"])
+def test_imported_function_thunk_is_named_in_each_referencing_module(
+        pipeline, tmp_path):
+    uncached = build_program(THUNK_PROGRAM, BuildConfig(pipeline=pipeline))
+    assert {"A::Lib::twice$thunk", "Main::Lib::twice$thunk"} <= set(
+        uncached.image.symbols)
+    assert run_build(uncached).output == ["8", "6"]
+    cached = BuildConfig(pipeline=pipeline, incremental=True,
+                         cache_dir=str(tmp_path))
+    build_program(THUNK_PROGRAM, cached)
+    edited = {**THUNK_PROGRAM,
+              "A": THUNK_PROGRAM["A"].replace("f(4)", "f(2) * 2")}
+    warm = build_program(edited, cached)
+    assert warm.report.cache_misses == 1
+    assert run_build(warm).output == ["8", "6"]
+    assert warm.image.text_section() == build_program(
+        edited, BuildConfig(pipeline=pipeline)).image.text_section()
 
 
 def test_entry_symbol_set():
