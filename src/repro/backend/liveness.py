@@ -81,9 +81,6 @@ class Interval:
     spill_slot: Optional[int] = None
     assigned: Optional[str] = None
 
-    def overlaps_point(self, pos: int) -> bool:
-        return self.start <= pos <= self.end
-
 
 @dataclass
 class LivenessResult:

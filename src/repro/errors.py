@@ -77,10 +77,6 @@ class RegAllocError(BackendError):
     """The register allocator could not produce a valid assignment."""
 
 
-class OutlinerError(ReproError):
-    """Illegal outlining transformation (legality or bookkeeping violation)."""
-
-
 class SimulationError(ReproError):
     """The machine-code interpreter hit an illegal state."""
 

@@ -218,15 +218,6 @@ _SETS_FLAGS = {Opcode.SUBSXri, Opcode.SUBSXrr, Opcode.FCMPDrr}
 _READS_FLAGS = {Opcode.CSETXi, Opcode.Bcc}
 _TERMINATORS = {Opcode.B, Opcode.Bcc, Opcode.CBZX, Opcode.CBNZX, Opcode.RET, Opcode.BRK}
 _CALLS = {Opcode.BL, Opcode.BLR}
-_LOADS = {
-    Opcode.LDRXui, Opcode.LDRXroX, Opcode.LDRBroX, Opcode.LDPXi,
-    Opcode.LDPXpost, Opcode.LDRDui, Opcode.LDRDroX,
-}
-_STORES = {
-    Opcode.STRXui, Opcode.STRXroX, Opcode.STRBroX, Opcode.STPXi,
-    Opcode.STPXpre, Opcode.STRDui, Opcode.STRDroX, Opcode.STRXpre,
-}
-_LOADS.add(Opcode.LDRXpost)
 
 
 @dataclass
@@ -291,18 +282,6 @@ class MachineInstr:
     @property
     def is_tail_call(self) -> bool:
         return self.opcode is Opcode.B and self.operands and isinstance(self.operands[0], Sym)
-
-    @property
-    def is_load(self) -> bool:
-        return self.opcode in _LOADS
-
-    @property
-    def is_store(self) -> bool:
-        return self.opcode in _STORES
-
-    @property
-    def is_branch_to_label(self) -> bool:
-        return any(isinstance(op, Label) for op in self.operands)
 
     def reads_sp(self) -> bool:
         return SP in self.uses()

@@ -164,8 +164,3 @@ class BinaryImage:
             else:
                 return ext
         return None
-
-    def entry_address(self) -> int:
-        if self.entry_symbol is None or self.entry_symbol not in self.symbols:
-            raise KeyError(f"no entry symbol ({self.entry_symbol!r})")
-        return self.symbols[self.entry_symbol]

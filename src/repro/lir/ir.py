@@ -487,9 +487,6 @@ class LIRModule:
                 return fn
         raise LIRError(f"no function {symbol!r} in LIR module {self.name}")
 
-    def has_function(self, symbol: str) -> bool:
-        return any(fn.symbol == symbol for fn in self.functions)
-
     @property
     def num_instrs(self) -> int:
         return sum(fn.num_instrs for fn in self.functions)

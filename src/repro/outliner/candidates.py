@@ -98,16 +98,6 @@ class InstructionMapper:
         self._next_unique -= 1
         return uid
 
-    def unique_id(self) -> int:
-        """Fresh never-repeating id (segment sentinels, boundaries)."""
-        return self._unique_id()
-
-    def map_instr(self, instr: MachineInstr) -> int:
-        """Id for one instruction: interned if legal, unique otherwise."""
-        if is_legal_to_outline(instr):
-            return self._legal_id(instr)
-        return self._unique_id()
-
     def map_functions(self,
                       functions: Sequence[MachineFunction]) -> MappedProgram:
         program = MappedProgram()
@@ -133,10 +123,6 @@ class InstructionMapper:
 
 def sequence_uses_sp(instrs: Iterable[MachineInstr]) -> bool:
     return any(SP in i.uses() or SP in i.defs() for i in instrs)
-
-
-def sequence_calls(instrs: Sequence[MachineInstr]) -> List[int]:
-    return [i for i, instr in enumerate(instrs) if instr.is_call]
 
 
 def prune_overlaps(starts: List[int], length: int) -> List[int]:

@@ -224,10 +224,6 @@ class OutlineIndex:
                 self._append_segment(fn, block)
         self._known_functions = len(functions)
 
-    def segment_at(self, pos: int) -> int:
-        """Index of the segment containing history position *pos*."""
-        return bisect.bisect_right(self._seg_starts, pos) - 1
-
 
 #: (benefit, length, first-start, pruned starts, instr sequence, cost).
 _Candidate = Tuple[int, int, int, List[int], List[MachineInstr], CandidateCost]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.isa.instructions import MachineFunction, MachineModule
+from repro.isa.instructions import MachineFunction
 from repro.outliner.candidates import (
     InstructionMapper,
     prune_overlaps,
@@ -88,11 +88,6 @@ def collect_patterns(functions: Sequence[MachineFunction],
     for i, stat in enumerate(stats):
         stat.pattern_id = i + 1
     return stats
-
-
-def collect_module_patterns(module: MachineModule,
-                            **kwargs) -> List[PatternStat]:
-    return collect_patterns(module.functions, **kwargs)
 
 
 def pattern_census(stats: Sequence[PatternStat]) -> Dict[str, float]:

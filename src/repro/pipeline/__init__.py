@@ -7,7 +7,6 @@ from repro.pipeline.build import (
     build_lir_modules,
     build_program,
     build_targets,
-    compile_backend,
     compile_frontend,
     run_build,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "build_lir_modules",
     "build_program",
     "build_targets",
-    "compile_backend",
     "compile_frontend",
     "run_build",
 ]

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import hashlib
 import pickle
 import threading
 from dataclasses import dataclass, field, replace
@@ -39,7 +38,7 @@ from repro.backend.llc import LLCOptions, run_llc
 from repro.errors import ReproError
 from repro.frontend import ast
 from repro.frontend.parser import parse_module
-from repro.frontend.sema import ProgramInfo, analyze_program
+from repro.frontend.sema import analyze_program
 from repro.isa.instructions import MachineModule
 from repro.lir import ir as lir_ir
 from repro.lir.linker import LinkOptions, link_modules
@@ -85,13 +84,14 @@ class SizeReport:
 @dataclass
 class BuildResult:
     image: BinaryImage
-    program: Optional[ProgramInfo]
     registry: TypeRegistry
     config: BuildConfig
-    #: The per-module machine IR, or a zero-argument loader for it: an
-    #: image-cache hit defers deserializing the listing until something
-    #: (disasm, the pattern miner) reads :attr:`machine_modules`, so a
-    #: warm no-op rebuild pays only for the linked image.
+    #: The per-module machine IR, or a zero-argument function that makes
+    #: it: an image-cache hit holds no listing, so the first read of
+    #: :attr:`machine_modules` (disasm, the pattern miner) compiles it
+    #: again with an uncached build of the same sources.  Builds are
+    #: deterministic, so that listing is the one the image was linked
+    #: from, whatever the cache holds by then.
     machine_listing: Union[List[MachineModule],
                            Callable[[], List[MachineModule]]] = field(
         default_factory=list)
@@ -115,7 +115,7 @@ class BuildResult:
     @property
     def machine_modules(self) -> List[MachineModule]:
         if callable(self.machine_listing):
-            self.machine_listing = self.machine_listing() or []
+            self.machine_listing = self.machine_listing()
         return self.machine_listing
 
 
@@ -248,7 +248,6 @@ def _strip_stage(result: "BuildResult", config: BuildConfig,
 def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                       config: BuildConfig,
                       registry: Optional[TypeRegistry] = None,
-                      program: Optional[ProgramInfo] = None,
                       report: Optional[BuildReport] = None,
                       module_keys: Optional[List[str]] = None,
                       cache: Optional[ModuleCache] = None) -> BuildResult:
@@ -260,8 +259,7 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
     llc-relevant config are unchanged skip inlining/merging/llc entirely
     and only re-link.
     """
-    registry = registry or (TypeRegistry.from_program(program) if program
-                            else TypeRegistry())
+    registry = registry or TypeRegistry()
     report = report if report is not None else BuildReport(
         num_modules=len(lir_modules), target=str(config.target))
     if not report.target:
@@ -271,7 +269,7 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
     for module in lir_modules:
         if module.entry_symbol:
             entry = module.entry_symbol
-    result = BuildResult(image=None, program=program,  # type: ignore[arg-type]
+    result = BuildResult(image=None,  # type: ignore[arg-type]
                          registry=registry, config=config, report=report)
     checkpoint(config.cancel_scope, "backend start")
     if config.pipeline == "wholeprogram":
@@ -457,7 +455,6 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
     uncached build is the case where every module misses; a build where
     every module hit runs sema over headers alone, for the registry.
     """
-    fingerprint = _artifact_fingerprint(items, config)
     names = [name for name, _ in items]
     parsed: Dict[str, ast.Module] = {}
     keys: Optional[List[str]] = None
@@ -552,9 +549,7 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
     lir_modules = [cached[name]["lir"] if name in cached else lowered[name]
                    for name in names]
     return ProgramArtifact(
-        lir_modules=lir_modules, program=program,
-        registry=TypeRegistry.from_program(program), fingerprint=fingerprint,
-        module_keys=keys,
+        lir_modules=lir_modules, registry=TypeRegistry.from_program(program),
         llc_base_keys=([content_keys[name] for name in names]
                        if cache is not None else None),
         frontend_report=report)
@@ -574,20 +569,17 @@ def _valid_image_entry(entry: object) -> bool:
             and isinstance(entry.get("layouts"), list))
 
 
-def _machine_modules_loader(cache: ModuleCache, mm_key: str):
-    """Deferred load of the sidecar machine listing for an image hit.
+def _uncached_listing(items: List[Tuple[str, str]], config: BuildConfig
+                      ) -> Callable[[], List[MachineModule]]:
+    """The machine listing of an image hit, made on first read by an
+    uncached one-target build of the same sources."""
 
-    An entry evicted or torn *after* the hit degrades to an empty listing
-    rather than failing a build whose binary is already verified."""
+    def rebuild() -> List[MachineModule]:
+        uncached = replace(config, incremental=False)
+        return build_targets(items, [config.target],
+                             uncached)[config.target].machine_modules
 
-    def _load() -> List[MachineModule]:
-        entry = cache.load(mm_key)
-        if (isinstance(entry, dict)
-                and isinstance(entry.get("machine_modules"), list)):
-            return entry["machine_modules"]
-        return []
-
-    return _load
+    return rebuild
 
 
 class _CollectorPause(contextlib.ContextDecorator):
@@ -692,14 +684,13 @@ def _slice_configs(targets: Sequence[str],
             for name in names}
 
 
-def _image_cache_probe(frontend: BuildReport, config: BuildConfig,
-                       cache: ModuleCache,
+def _image_cache_probe(items: List[Tuple[str, str]], frontend: BuildReport,
+                       config: BuildConfig, cache: ModuleCache,
                        img_key: str) -> Optional[BuildResult]:
-    """The warm whole-image fast path: a valid image entry (plus its
-    machine-listing sidecar) short-circuits the entire slice."""
+    """The warm whole-image fast path: a valid image entry short-circuits
+    the entire slice."""
     entry = cache.load(img_key)
-    mm_key = cache_mod.machine_modules_key(img_key)
-    if not (_valid_image_entry(entry) and cache.contains(mm_key)):
+    if not _valid_image_entry(entry):
         return None
     report = _slice_report(frontend, config)
     # A cache-restored image gets re-verified every time: the pickle on
@@ -717,9 +708,8 @@ def _image_cache_probe(frontend: BuildReport, config: BuildConfig,
     _note_cache_recoveries(cache, report)
     _record_cache_metrics(cache, report)
     cached_result = BuildResult(
-        image=entry["image"], program=None,
-        registry=registry, config=config,
-        machine_listing=_machine_modules_loader(cache, mm_key),
+        image=entry["image"], registry=registry, config=config,
+        machine_listing=_uncached_listing(items, config),
         outline_stats=entry.get("outline_stats", []),
         pass_reports=entry.get("pass_reports", {}),
         phase_work=entry.get("phase_work", {}),
@@ -741,8 +731,7 @@ def _finish_slice(artifact: "ProgramArtifact",
     report = _slice_report(artifact.frontend_report, config)
     with obs_trace.span("backend", kind="build", target=config.target):
         result = build_lir_modules(lir_modules, config,
-                                   registry=artifact.registry,
-                                   program=artifact.program, report=report,
+                                   registry=artifact.registry, report=report,
                                    module_keys=artifact.llc_base_keys,
                                    cache=cache)
         _verify(result.image, config, report)
@@ -759,10 +748,6 @@ def _finish_slice(artifact: "ProgramArtifact",
                     "layouts": sorted(result.registry._classes.values(),
                                       key=lambda lo: lo.type_id),
                 })
-                # The heavy machine listing lives in a sidecar entry
-                # loaded only on demand (see machine_modules_key).
-                cache.store(cache_mod.machine_modules_key(img_key),
-                            {"machine_modules": result.machine_modules})
             report.cache_stores = cache.stats.stores
         if cache is not None:
             _note_cache_recoveries(cache, report)
@@ -771,34 +756,24 @@ def _finish_slice(artifact: "ProgramArtifact",
     return result
 
 
-# --- the frontend/backend seam and app-thinning slicing ----------------------
+# --- the frontend record and app-thinning slicing ---------------------------
 
 
 @dataclass
 class ProgramArtifact:
-    """The serializable seam between the two pipeline halves: the one
-    record of a frontend run.
+    """The one record of a frontend run: everything the
+    target-independent front half produced (parse -> sema -> SILGen ->
+    SIL passes -> IRGen -> per-module -Osize LIR cleanups).
 
-    Everything the target-independent front half produced (parse -> sema
-    -> SILGen -> SIL passes -> IRGen -> per-module -Osize LIR cleanups),
-    content-addressed by :attr:`fingerprint` — a digest of the source
-    identities plus :meth:`BuildConfig.frontend_fingerprint`, so two
-    artifacts with equal fingerprints are interchangeable.
-
-    One artifact feeds N per-target back halves
-    (:func:`compile_backend`); the backend mutates LIR in place
-    (inlining, merging, llvm-link), so each consumer gets its own deep
-    copy via :meth:`lir_copy` and the artifact itself stays pristine.
+    :func:`build_targets` feeds one artifact to every target's back half.
+    The back half mutates LIR in place (inlining, merging, llvm-link), so
+    each later consumer gets its own deep copy via :meth:`lir_copy`.
+    :func:`compile_frontend` returns the artifact to callers that need
+    only the front half.
     """
 
     lir_modules: List[lir_ir.LIRModule]
-    program: ProgramInfo
     registry: TypeRegistry
-    #: Content identity: source hashes + frontend fingerprint.
-    fingerprint: str
-    #: Per-module cache keys (None when caching was off; lets the backend
-    #: reuse the llc and image caches exactly like a one-shot build).
-    module_keys: Optional[List[str]] = None
     #: Per-module *content* identities (function keys + globals; see
     #: :func:`repro.pipeline.fncache.module_content_key`), the llc cache
     #: base, so downstream modules whose LIR did not change keep their
@@ -817,18 +792,6 @@ class ProgramArtifact:
         consuming freshly lowered LIR.
         """
         return pickle.loads(pickle.dumps(self.lir_modules))
-
-
-def _artifact_fingerprint(items: List[Tuple[str, str]],
-                          config: BuildConfig) -> str:
-    h = hashlib.sha256()
-    h.update(config.frontend_fingerprint().encode("utf-8"))
-    for name, text in items:
-        h.update(name.encode("utf-8"))
-        h.update(b"\x00")
-        h.update(cache_mod.fingerprint_source(text).encode("utf-8"))
-        h.update(b"\x00")
-    return h.hexdigest()
 
 
 def _items(sources: SourceModules) -> List[Tuple[str, str]]:
@@ -852,31 +815,6 @@ def compile_frontend(sources: SourceModules,
     with obs_trace.span("frontend", kind="build", num_modules=len(items)):
         return _frontend(items, config, _open_cache(config),
                          _frontend_report(len(items), config))
-
-
-@_COLLECTOR_PAUSE
-def compile_backend(artifact: ProgramArtifact,
-                    config: Optional[BuildConfig] = None) -> BuildResult:
-    """Consume a :class:`ProgramArtifact` through one target's back half.
-
-    The artifact is never mutated — call this once per target.  With
-    ``config.incremental`` and an artifact built with caching on, the
-    per-target image and llc caches work exactly as in a one-shot build
-    (a warm target skips its backend entirely).
-    """
-    config = config or BuildConfig()
-    _slice_configs([config.target], config)  # the one target check
-    cache = _open_cache(config)
-    img_key = None
-    if cache is not None and artifact.module_keys is not None:
-        img_key = cache_mod.image_key(artifact.module_keys,
-                                      config.backend_fingerprint())
-        hit = _image_cache_probe(artifact.frontend_report, config, cache,
-                                 img_key)
-        if hit is not None:
-            return hit
-    return _finish_slice(artifact, artifact.lir_copy(), config, cache,
-                         img_key)
 
 
 @_COLLECTOR_PAUSE
@@ -920,7 +858,7 @@ def build_targets(sources: SourceModules,
             for name, slice_config in configs.items():
                 img_keys[name] = cache_mod.image_key(
                     probe.keys, slice_config.backend_fingerprint())
-                hit = _image_cache_probe(report, slice_config, cache,
+                hit = _image_cache_probe(items, report, slice_config, cache,
                                          img_keys[name])
                 if hit is not None:
                     results[name] = hit

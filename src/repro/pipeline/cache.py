@@ -36,11 +36,12 @@ different key (never a stale hit).  The levels, from cheapest to load:
   :func:`function_key` and :func:`llc_key`.
 
 * **Linked image** — the fully linked :class:`BinaryImage` (plus outlining
-  stats, pass reports and class layouts; the machine listing rides in a
-  sidecar), keyed by the ordered module keys and the backend config
-  fields.  A warm rebuild of an unchanged program under an unchanged
+  stats, pass reports and class layouts), keyed by the ordered module
+  keys and the backend config fields: the one record of a finished
+  slice.  A warm rebuild of an unchanged program under an unchanged
   config loads the metas and this one entry and skips every compilation
-  phase.
+  phase.  The entry holds no machine listing; a caller that asks an
+  image hit for one gets it from an uncached rebuild.
 
 Entries are pickles under ``cache_dir/objects/<k[:2]>/<k>.pkl`` written
 atomically (temp file + rename, so a crashed writer can never leave a
@@ -48,7 +49,9 @@ half-written entry under a live key); a corrupted or truncated entry is
 treated as a miss, quarantined out of the way, and never an error.
 Mutating operations take a cross-process advisory lock (``flock`` where
 available) so concurrent builds sharing one ``cache_dir`` cannot race a
-store against a quarantine of the same key.
+store against a quarantine of the same key.  The locks are striped over
+the key's first two hex digits, the same fan-out as ``objects/``, so
+``locks/`` never holds more than 256 files.
 """
 
 from __future__ import annotations
@@ -78,8 +81,10 @@ from repro.pipeline.faults import FaultPlan
 #: layered under the module keys (new "fn"/"mllc" namespaces; module
 #: entries themselves are unchanged, but one version covers them all).
 #: "4": the image entry carries class layouts and sheds its machine
-#: listing into an "imgmm" sidecar, so an image hit deserializes only
-#: the linked image.
+#: listing into a sidecar entry, so an image hit deserializes only the
+#: linked image.  (Builds no longer store the sidecar; the image entry
+#: kept its shape, so that needed no bump, and a leftover sidecar is an
+#: ordinary entry that prune evicts.)
 #: "5": config fingerprints are rendered from the BuildConfig stage tags,
 #: and per-module machine-code entries carry their merge-pass reports.
 #: "6": module keys fold in the interface digests of imports instead of
@@ -180,16 +185,6 @@ def image_key(mod_keys: Sequence[str], backend_fingerprint: str) -> str:
                    *mod_keys)
 
 
-def machine_modules_key(img_key: str) -> str:
-    """Sidecar entry holding the per-module machine IR for one image.
-
-    Kept out of the image entry so a warm no-op rebuild (image hit)
-    deserializes only the linked image; the machine listing loads lazily
-    when something (disasm, the pattern miner) actually asks for it.
-    """
-    return _digest("imgmm", PIPELINE_CACHE_VERSION, img_key)
-
-
 def function_key(frontend_fingerprint: str, fn_digest: str,
                  callees_digest: str, interns_digest: str) -> str:
     """Cache key for one function's optimized LIR.
@@ -278,10 +273,6 @@ class ModuleCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.root, "objects", key[:2], f"{key}.pkl")
 
-    def contains(self, key: str) -> bool:
-        """Entry presence without deserialization (no stats recorded)."""
-        return os.path.exists(self._path(key))
-
     def _quarantine_path(self, key: str) -> str:
         return os.path.join(self.root, "quarantine", f"{key}.pkl")
 
@@ -289,17 +280,20 @@ class ModuleCache:
     def _locked(self, key: str) -> Iterator[None]:
         """Cross-process advisory lock for mutations of ``key``.
 
-        Lock files are tiny, per-key, and live under ``locks/``; when the
-        platform has no ``flock`` the section simply runs unlocked (the
-        rename-based store is still atomic, only quarantine-vs-store
-        ordering loses its guarantee).
+        One lock file per stripe, ``locks/<key[:2]>.lock``: every key in a
+        stripe shares its lock, which orders each key's stores,
+        quarantines and evictions as a per-key lock would, and the files
+        are made once instead of once per key.  No caller holds two locks
+        at a time.  When the platform has no ``flock`` the section simply
+        runs unlocked (the rename-based store is still atomic, only
+        quarantine-vs-store ordering loses its guarantee).
         """
         if fcntl is None:
             yield
             return
         lock_dir = os.path.join(self.root, "locks")
         os.makedirs(lock_dir, exist_ok=True)
-        lock_path = os.path.join(lock_dir, f"{key[:16]}.lock")
+        lock_path = os.path.join(lock_dir, f"{key[:2]}.lock")
         fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
         try:
             try:
@@ -502,10 +496,10 @@ class ModuleCache:
 
         * published entries are evicted **LRU-by-mtime** (loads touch
           their entry, so mtime is recency-of-use) until the total is
-          at most ``max_bytes`` — each removal holds the same per-key
-          lock stores and quarantines take, so a prune can never race a
-          store into deleting a freshly published entry's temp file or
-          vice versa;
+          at most ``max_bytes`` — each removal holds the lock that
+          stores and quarantines of its key take, so a prune can never
+          race a store into deleting a freshly published entry's temp
+          file or vice versa;
         * ``quarantine/`` is bounded to ``quarantine_max_bytes`` (0 —
           the default — reclaims every quarantined entry: a long-lived
           daemon cannot keep corpses around for post-mortems forever);

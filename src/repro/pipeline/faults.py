@@ -89,11 +89,6 @@ class FaultPlan:
             return True
         return _unit_interval(self.seed, f"{kind}:{site}") < rate
 
-    @property
-    def any_worker_faults(self) -> bool:
-        return (self.worker_crash_rate > 0 or self.worker_hang_rate > 0
-                or self.pickle_failure_rate > 0)
-
     # -- CLI / config parsing -------------------------------------------
 
     _PARSE_KEYS = {

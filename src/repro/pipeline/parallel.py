@@ -277,6 +277,9 @@ class _Task:
     index: int
     attempt: int
     plan: Optional[FaultPlan]
+    #: Whether the submitting build traces: a persistent worker may have
+    #: been forked under another build's tracer.
+    traced: bool
 
     @property
     def site(self) -> str:
@@ -287,10 +290,9 @@ class _Task:
 class _TracedChunk:
     """A chunk result plus the worker-side observability it produced.
 
-    ``fork`` children inherit the parent's *enabled* tracer through the
-    ambient contextvar, but mutations to it die with the child — so the
-    worker records into a fresh tracer and ships the finished spans and
-    metrics back through the result pipe (both are plain picklable
+    Mutations to a tracer die with the child process, so a worker of a
+    traced build records into a fresh tracer and ships the finished spans
+    and metrics back through the result pipe (both are plain picklable
     dataclasses).  The parent grafts them in chunk order.
     """
 
@@ -308,19 +310,17 @@ def _run_task(task: _Task):
             os._exit(17)  # simulate a hard worker death (OOM-kill, segfault)
         if task.plan.should_fire("worker_hang", task.site):
             time.sleep(task.plan.hang_seconds)
-    if obs_trace.current_tracer().enabled:
-        worker_tracer = Tracer()
-        with obs_trace.use_tracer(worker_tracer):
-            with worker_tracer.span(f"worker-chunk:{task.kind}",
-                                    kind="worker-chunk", chunk=task.index,
-                                    attempt=task.attempt,
-                                    size=len(task.chunk)):
-                inner = _CHUNK_FUNCS[task.kind](task.payload, task.chunk)
-        result: object = _TracedChunk(result=inner,
-                                      spans=worker_tracer.roots,
-                                      metrics=worker_tracer.metrics.snapshot())
-    else:
-        result = _CHUNK_FUNCS[task.kind](task.payload, task.chunk)
+    # Never the tracer inherited at fork: it belongs to whichever build
+    # forked this worker, and what a worker records there is never seen.
+    worker_tracer = Tracer() if task.traced else obs_trace.NULL_TRACER
+    with obs_trace.use_tracer(worker_tracer):
+        with worker_tracer.span(f"worker-chunk:{task.kind}",
+                                kind="worker-chunk", chunk=task.index,
+                                attempt=task.attempt, size=len(task.chunk)):
+            result = _CHUNK_FUNCS[task.kind](task.payload, task.chunk)
+    if task.traced:
+        result = _TracedChunk(result=result, spans=worker_tracer.roots,
+                              metrics=worker_tracer.metrics.snapshot())
     if (task.plan is not None
             and task.plan.should_fire("pickle_failure", task.site)):
         return lambda: result  # lambdas don't pickle -> result send fails
@@ -373,6 +373,7 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
         return []
     results: Dict[int, object] = {}
     pending = list(range(len(chunks)))
+    traced = obs_trace.current_tracer().enabled
 
     ctx = None
     if plan is not None and plan.fork_unavailable:
@@ -417,7 +418,7 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
                         futures[i] = pool.submit(_run_task, _Task(
                             kind=kind, chunk=tuple(chunks[i]),
                             payload=chunk_payloads[i], index=i,
-                            attempt=attempt, plan=plan))
+                            attempt=attempt, plan=plan, traced=traced))
                     except BrokenProcessPool as exc:
                         # The pool can already be broken at submit time —
                         # a worker died after the previous round's results

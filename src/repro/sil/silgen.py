@@ -303,10 +303,6 @@ class _FunctionEmitter:
     def _new_result(self) -> sil.Temp:
         return self.fn.new_temp()
 
-    def _set_block(self, label: str) -> sil.SILBlock:
-        self.cur = self.fn.block(label)
-        return self.cur
-
     def _start_block(self, label: str) -> sil.SILBlock:
         blk = self.fn.new_block(label)
         self.cur = blk

@@ -39,10 +39,6 @@ class SetAssociativeCache:
                 ways.pop(0)
             return False
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
 
 class TLB(SetAssociativeCache):
     """A TLB is just a small cache of page numbers."""

@@ -49,11 +49,6 @@ class RegisterFile:
     fp: str
     lr: str
 
-    @cached_property
-    def all_physical(self) -> FrozenSet[str]:
-        return frozenset(self.gprs) | frozenset(self.fprs) | {self.sp,
-                                                              self.zero}
-
 
 @dataclass(frozen=True)
 class CallingConvention:
@@ -90,11 +85,6 @@ class CallingConvention:
                     f"more than {self.max_reg_args} arguments of one class "
                     "are not supported (no stack-argument lowering)") from None
         return out
-
-    def call_clobbers(self) -> Tuple[str, ...]:
-        """Registers a call may clobber (caller-saved + error register)."""
-        return (self.caller_saved_gprs + self.caller_saved_fprs
-                + (self.error_reg,))
 
     def is_callee_saved(self, reg: str) -> bool:
         return reg in self.callee_saved_gprs or reg in self.callee_saved_fprs

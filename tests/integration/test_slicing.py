@@ -6,13 +6,10 @@ Pins the PR-10 tentpole contract:
   silgen exactly once (asserted from tracer span counts, the only
   timing-free evidence);
 * every slice is bit-identical to a standalone single-target build;
-* the ``compile_frontend`` / ``compile_backend`` seam composes to the
-  same bytes as the fused ``build_program``;
 * a fully warm sliced build never re-runs the frontend (image-cache
   hits on every slice);
 * ``build_program`` is a one-target ``build_targets``: the same spans
-  and the same typed error for an unknown target, as in
-  ``compile_backend`` and ``api.build``;
+  and the same typed error for an unknown target, as in ``api.build``;
 * the CLI surfaces (``build --target a --target b``, ``size``) and the
   baseline-diff gate behave.
 """
@@ -30,8 +27,6 @@ from repro.pipeline import (
     BuildConfig,
     build_program,
     build_targets,
-    compile_backend,
-    compile_frontend,
 )
 from repro.pipeline.build import run_build
 
@@ -125,37 +120,6 @@ class TestSlicedBuild:
             build_targets(SOURCES, ["riscv"], BuildConfig())
 
 
-class TestFrontendBackendSeam:
-    def test_seam_composes_to_fused_build(self):
-        config = BuildConfig(outline_rounds=2)
-        artifact = compile_frontend(SOURCES, config)
-        assert artifact.fingerprint
-        for target in TARGETS:
-            result = compile_backend(
-                artifact, BuildConfig(outline_rounds=2, target=target))
-            fused = build_program(
-                SOURCES, BuildConfig(outline_rounds=2, target=target))
-            assert _sha(result.image) == _sha(fused.image)
-
-    def test_artifact_is_reusable_across_backends(self):
-        # Two backends from ONE artifact: the second must not observe
-        # mutations the first backend made to the LIR.
-        artifact = compile_frontend(SOURCES, BuildConfig())
-        first = compile_backend(artifact, BuildConfig(target="arm64"))
-        second = compile_backend(artifact, BuildConfig(target="arm64"))
-        assert _sha(first.image) == _sha(second.image)
-
-    def test_frontend_fingerprint_ignores_backend_knobs(self):
-        a = compile_frontend(SOURCES, BuildConfig(outline_rounds=1))
-        b = compile_frontend(SOURCES, BuildConfig(outline_rounds=5,
-                                                  strip="program"))
-        assert a.fingerprint == b.fingerprint
-        c = compile_frontend({"Lib": SOURCES["Lib"] + "\n",
-                              "Main": SOURCES["Main"]},
-                             BuildConfig(outline_rounds=1))
-        assert a.fingerprint != c.fingerprint
-
-
 class TestOneTargetBuild:
     def test_single_target_build_opens_one_of_each_span(self):
         tracer = Tracer()
@@ -170,11 +134,6 @@ class TestOneTargetBuild:
             build_program(SOURCES, BuildConfig(target="riscv"))
         with pytest.raises(ReproError, match="unknown target"):
             api.build(SOURCES, target="riscv")
-
-    def test_compile_backend_rejects_unknown_target_typed(self):
-        artifact = compile_frontend(SOURCES, BuildConfig())
-        with pytest.raises(ReproError, match="unknown target"):
-            compile_backend(artifact, BuildConfig(target="riscv"))
 
 
 class TestApiSurface:

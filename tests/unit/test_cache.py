@@ -241,11 +241,11 @@ class TestModuleCacheStore:
             return  # platform without flock: locking is a no-op
         cache = ModuleCache(str(tmp_path))
         key = "45" * 32
-        # Hold the entry's advisory lock from a second descriptor, as a
-        # concurrent build process would.
+        # Hold the entry's advisory lock (its stripe's) from a second
+        # descriptor, as a concurrent build process would.
         lock_dir = os.path.join(cache.root, "locks")
         os.makedirs(lock_dir, exist_ok=True)
-        fd = os.open(os.path.join(lock_dir, f"{key[:16]}.lock"),
+        fd = os.open(os.path.join(lock_dir, f"{key[:2]}.lock"),
                      os.O_CREAT | os.O_RDWR)
         fcntl.flock(fd, fcntl.LOCK_EX)
         stored = []
@@ -404,6 +404,18 @@ class TestPrune:
         cache.prune(size_a)
         assert cache.load("aa" * 32) is not None
         assert cache.load("bb" * 32) is None
+
+    def test_lock_directory_stays_bounded(self, tmp_path):
+        if cache_mod.fcntl is None:
+            return  # platform without flock: no lock files at all
+        # A long-lived daemon prunes after every job; the keys it stores
+        # keep changing, but the lock files must not pile up.
+        cache = ModuleCache(str(tmp_path))
+        for i in range(600):
+            cache.store(fingerprint_source(str(i)), {"i": i})
+        cache.prune(0)
+        assert cache._object_entries() == []
+        assert len(os.listdir(os.path.join(cache.root, "locks"))) <= 256
 
     def test_under_budget_is_a_noop(self, tmp_path):
         cache = ModuleCache(str(tmp_path))

@@ -1,13 +1,18 @@
 """Function-level incremental builds: per-function cache keys, the image
-sidecar, and the single-function-edit contract on real builds."""
+entry as the one record of a finished build, and the single-function-edit
+contract on real builds."""
 
 import os
+import shutil
+from collections import Counter
 
 import pytest
 
+from repro.analysis.patterns import mine_build_patterns
 from repro.frontend.parser import parse_module
 from repro.frontend.sema import analyze_program
-from repro.pipeline import BuildConfig, build_program, fncache
+from repro.lir.ir import LIRFunction
+from repro.pipeline import BuildConfig, build_program, fncache, parallel
 from repro.pipeline import cache as cache_mod
 from repro.sil.silgen import generate_sil
 from repro.workloads.appgen import (AppSpec, edit_function, generate_app,
@@ -123,25 +128,62 @@ class TestImageSidecar:
         assert warm.report.image_cache_hit
         assert warm.report.cache_hits == len(sources)
         assert warm.image.text_section() == cold.image.text_section()
-        # The lazy sidecar still serves the full machine listing.
+        # The image hit still serves the full machine listing.
         assert ([m.name for m in warm.machine_modules]
                 == [m.name for m in cold.machine_modules])
 
-    def test_sidecar_eviction_falls_back_to_full_build(self, tmp_path):
+    def test_image_hit_listing_survives_a_wiped_cache(self, tmp_path):
         sources = generate_app(SPEC)
-        config = _config(tmp_path)
-        cold = build_program(sources, config)
-        # Remove every sidecar entry (identified by reloading as dict with
-        # only machine_modules inside).
+        cache_dir = tmp_path / "cache"
+        config = BuildConfig.preset("fast-build", cache_dir=str(cache_dir))
+        try:
+            cold = build_program(sources, config)
+            warm = build_program(sources, config)
+            assert warm.report.image_cache_hit
+            # The cache goes between the hit and the first read of the
+            # listing, as a prune or a cleaned build directory would.
+            shutil.rmtree(cache_dir)
+            listing = _listing(cold)
+            assert sum(len(functions) for _, functions in listing) > 0
+            assert _listing(warm) == listing
+            assert mine_build_patterns(warm) == mine_build_patterns(cold)
+        finally:
+            parallel.shutdown_persistent_pool()
+
+    def test_image_miss_stores_one_record(self, tmp_path):
+        sources = generate_app(SPEC)
+        cold = build_program(sources, _config(tmp_path))
+        report = cold.report
+        # A meta and a module entry per module, an entry per function, a
+        # machine-code entry per module, and the linked image: no listing.
+        assert report.cache_stores == (2 * report.num_modules
+                                       + report.fn_cache_misses
+                                       + report.llc_cache_misses + 1)
         cache = cache_mod.ModuleCache(str(tmp_path))
-        for key in _all_keys(tmp_path):
-            entry = cache.load(key)
-            if (isinstance(entry, dict)
-                    and set(entry) == {"machine_modules"}):
-                os.remove(cache._path(key))
-        rebuilt = build_program(sources, config)
-        assert not rebuilt.report.image_cache_hit
-        assert rebuilt.image.text_section() == cold.image.text_section()
+        kinds = Counter(_entry_kind(cache.load(key))
+                        for key in _all_keys(tmp_path))
+        assert kinds["image"] == 1
+        assert set(kinds) == {"meta", "module", "function", "llc", "image"}
+
+
+def _listing(result):
+    return [(module.name, [fn.render() for fn in module.functions])
+            for module in result.machine_modules]
+
+
+def _entry_kind(payload):
+    if isinstance(payload, cache_mod.ModuleMeta):
+        return "meta"
+    if isinstance(payload, LIRFunction):
+        return "function"
+    if isinstance(payload, dict):
+        if "image" in payload:
+            return "image"
+        if set(payload) == {"lir", "fnsig", "header"}:
+            return "module"
+        if set(payload) == {"llc_out", "merge_reports"}:
+            return "llc"
+    return type(payload).__name__
 
 
 def _all_keys(tmp_path):

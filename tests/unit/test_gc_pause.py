@@ -1,10 +1,10 @@
 """The cyclic garbage collector is paused for exactly the length of a build.
 
 ``build_targets`` (and so ``build_program``, ``api.build``, the CLI and
-daemon jobs), ``compile_frontend`` and ``compile_backend`` run with the
-collector off.  Nested builds and concurrent builds in threads share one
-depth count; the outermost exit, exceptions included, restores the
-caller's collector state.  The observers below wrap passes that run
+daemon jobs) and ``compile_frontend`` run with the collector off.
+Nested builds and concurrent builds in threads share one depth count;
+the outermost exit, exceptions included, restores the caller's
+collector state.  The observers below wrap passes that run
 inside a build and record what they see.
 """
 
@@ -16,8 +16,7 @@ import threading
 import pytest
 
 from repro.errors import SemaError
-from repro.pipeline import (BuildConfig, build_program, compile_backend,
-                            compile_frontend)
+from repro.pipeline import BuildConfig, build_program, compile_frontend
 from repro.pipeline import build as build_mod
 
 SOURCES = {"Lib": "func triple(x: Int) -> Int { return x * 3 }\n",
@@ -54,10 +53,9 @@ def collector_on():
 
 def test_collector_is_off_inside_every_build_entry(observed, collector_on):
     build_program(SOURCES, BuildConfig())
-    artifact = compile_frontend(SOURCES, BuildConfig())
-    compile_backend(artifact, BuildConfig(target="thumb2c"))
-    # Two parses, then a verify; compile_backend only verifies.
-    assert observed == [False] * 6
+    compile_frontend(SOURCES, BuildConfig())
+    # Two parses and a verify, then two parses.
+    assert observed == [False] * 5
     assert gc.isenabled()
     assert build_mod._COLLECTOR_PAUSE.depth == 0
 

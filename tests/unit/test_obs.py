@@ -24,7 +24,7 @@ from repro.obs import (
     write_metrics,
 )
 from repro.obs import trace as obs_trace
-from repro.pipeline import BuildConfig, build_program
+from repro.pipeline import BuildConfig, build_program, parallel
 from repro.pipeline.faults import FaultPlan
 
 SOURCES = {
@@ -267,6 +267,23 @@ class TestWorkerAdoption:
         chunk_ids = [s.attrs["chunk"] for s in tracer.all_spans()
                      if s.name.startswith("worker-chunk:lower")]
         assert chunk_ids == sorted(chunk_ids)
+
+    def test_persistent_pool_traces_the_submitting_build(self):
+        # The pool forks during the first, untraced build; the second
+        # build's chunks must still come back with their spans.
+        config = BuildConfig.preset("fast-build", incremental=False,
+                                    workers=2)
+        tracer = Tracer()
+        parallel.shutdown_persistent_pool()
+        try:
+            build_program(dict(SOURCES), config)
+            with use_tracer(tracer):
+                build_program(dict(SOURCES), config)
+        finally:
+            parallel.shutdown_persistent_pool()
+        chunks = [s for s in tracer.all_spans()
+                  if s.name == "worker-chunk:lower"]
+        assert chunks
 
 
 class TestDegradationEvents:

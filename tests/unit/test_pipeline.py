@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ReproError
+from repro.frontend.parser import parse_module
+from repro.frontend.sema import analyze_program
 from repro.pipeline import (
     BuildConfig,
     build_lir_modules,
@@ -104,7 +106,9 @@ class Thing { var v: Int\n var other: Thing
 func main() { let t = Thing()\n print(t.v) }
 """
         result = build_program({"M": source})
-        decl = result.program.modules[0].classes[0]
+        # Sema numbers the class the way the build did.
+        program = analyze_program([parse_module(source, "M")])
+        decl = program.modules[0].classes[0]
         layout = result.registry.class_layout(decl.type_id)
         assert layout.num_fields == 2
         assert layout.ref_field_indices == [1]
