@@ -25,10 +25,8 @@ Scale with ``REPRO_SCALE_FEATURES`` (default 120 ≈ 3.6k functions /
 128 modules; raise it to approach the paper's 10k-function regime —
 the ceilings are ratios, so they hold at any scale).
 
-The post-link verifier is disabled *explicitly* (knob > preset): the
-inner loop this models trusts the cache layer's own torn-entry
-detection, and the verifier's cost would otherwise dominate the warm
-path being measured.
+Every build, the warm no-op included, runs the post-link verifier on
+the image it returns, as every build does.
 """
 
 import json
@@ -68,8 +66,7 @@ def _timed_build(sources, config):
 def test_scale(tmp_path):
     spec = AppSpec(base_features=FEATURES, num_vendors=6, base_handlers=5)
     sources = generate_app(spec)
-    config = BuildConfig.preset("fast-build", cache_dir=str(tmp_path),
-                                verify_image=False)
+    config = BuildConfig.preset("fast-build", cache_dir=str(tmp_path))
 
     cold, cold_wall = _timed_build(sources, config)
     noop, noop_wall = _timed_build(sources, config)
@@ -136,6 +133,5 @@ def test_scale(tmp_path):
     ran = run_build(cold)
     assert ran.leaked == []
     reference = build_program(sources, BuildConfig(
-        pipeline="default", outline_rounds=0, workers=0,
-        verify_image=False))
+        pipeline="default", outline_rounds=0, workers=0))
     assert ran.output == run_build(reference).output

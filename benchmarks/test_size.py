@@ -44,11 +44,9 @@ def test_size(tmp_path):
     sources = generate_app(spec)
     targets = list(available_targets())
 
-    presets = {name: BuildConfig.preset(name, verify_image=False)
-               for name in sorted(PRESETS)}
+    presets = {name: BuildConfig.preset(name) for name in sorted(PRESETS)}
     # The strip-off control: min-size with only the strip knob flipped.
-    presets["min-size-nostrip"] = BuildConfig.preset(
-        "min-size", strip="off", verify_image=False)
+    presets["min-size-nostrip"] = BuildConfig.preset("min-size", strip="off")
 
     rows = {}
     outputs = {}

@@ -89,8 +89,7 @@ _CLI_KNOBS = (
     ("data_layout", "data_layout"), ("layout", "layout"),
     ("layout_seed", "layout_seed"), ("profile_in", "profile_path"),
     ("workers", "workers"), ("incremental", "incremental"),
-    ("cache_dir", "cache_dir"), ("verify_image", "verify_image"),
-    ("fail_fast", "fail_fast"),
+    ("cache_dir", "cache_dir"), ("fail_fast", "fail_fast"),
 )
 
 
@@ -397,8 +396,11 @@ def _add_image_args(parser) -> None:
     as a one-shot build does."""
     # Flags default to None (= "not given") so _config_from_args can tell
     # an explicit flag from an absent one; absent flags fall through to
-    # the --preset (if any), then to the BuildConfig defaults.
-    from repro.pipeline.config import PRESETS
+    # the --preset (if any), then to the BuildConfig defaults.  Every
+    # string mode offers the one tuple BuildConfig checks it against.
+    from repro.pipeline.config import (DATA_LAYOUTS, LAYOUT_MODES,
+                                       MERGE_MODES, PIPELINES, PRESETS,
+                                       STRIP_MODES)
 
     parser.add_argument("--preset", default=None,
                         choices=tuple(sorted(PRESETS)),
@@ -409,8 +411,7 @@ def _add_image_args(parser) -> None:
                              "override preset fields.")
     parser.add_argument("--rounds", type=int, default=None,
                         help="machine outlining rounds (default 5)")
-    parser.add_argument("--pipeline", default=None,
-                        choices=("wholeprogram", "default"))
+    parser.add_argument("--pipeline", default=None, choices=PIPELINES)
     from repro.target import available_targets
     parser.add_argument("--target", default=None, action="append",
                         choices=available_targets(),
@@ -420,7 +421,6 @@ def _add_image_args(parser) -> None:
                              "accept the flag repeatedly for an "
                              "app-thinning sliced build (one shared "
                              "frontend, one slice per target)")
-    from repro.pipeline.config import MERGE_MODES, STRIP_MODES
     parser.add_argument("--merge", default=None,
                         choices=MERGE_MODES,
                         help="whole-program function merging: off, exact "
@@ -433,14 +433,14 @@ def _add_image_args(parser) -> None:
                              "machine functions unreachable from the entry "
                              "symbol right before the link (default off; "
                              "on in the min-size preset)")
-    parser.add_argument("--data-layout", default=None,
-                        choices=("module-order", "interleaved"))
-    from repro.link.funclayout import LAYOUT_MODES
+    parser.add_argument("--data-layout", default=None, choices=DATA_LAYOUTS)
     parser.add_argument("--layout", default=None, choices=LAYOUT_MODES,
                         help="function ordering in __text: source (link "
-                             "order), callgraph-c3 (profile-guided "
-                             "clustering; uses --profile-in or a static "
-                             "call-site census), random (seeded control)")
+                             "order), near-callers (each outlined function "
+                             "after its busiest caller), callgraph-c3 "
+                             "(profile-guided clustering; uses "
+                             "--profile-in or a static call-site census), "
+                             "random (seeded control)")
     parser.add_argument("--layout-seed", type=int, default=None,
                         help="seed for --layout random (default 0)")
 
@@ -460,12 +460,6 @@ def _add_build_args(parser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="cache location (default: $REPRO_CACHE_DIR "
                              "or a tempdir)")
-    parser.add_argument("--verify-image", dest="verify_image",
-                        action="store_true", default=None,
-                        help="run the post-link binary verifier (default)")
-    parser.add_argument("--no-verify-image", dest="verify_image",
-                        action="store_false",
-                        help="skip the post-link binary verifier")
     parser.add_argument("--fail-fast", action="store_true", default=None,
                         help="raise on the first worker failure instead of "
                              "retrying/degrading (for CI)")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.isa.instructions import MachineFunction
 from repro.outliner.stats import PatternStat, collect_patterns, pattern_census

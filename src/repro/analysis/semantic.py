@@ -15,7 +15,7 @@ would land between the exact and abstract figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.isa.instructions import MachineFunction, MachineInstr
 from repro.isa.registers import reg_class

@@ -15,7 +15,6 @@ offsets and ``(base + (idx << 3))`` addressing into ``roX`` forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import BackendError

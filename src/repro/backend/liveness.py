@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.isa.instructions import MachineFunction, MachineInstr
+from repro.isa.instructions import MachineFunction
 from repro.isa.registers import is_virtual
 
 

@@ -20,7 +20,7 @@ in a fixed order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RegAllocError
 from repro.backend.liveness import Interval, compute_intervals

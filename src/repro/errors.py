@@ -12,6 +12,12 @@ class ReproError(Exception):
     """Base class for all errors raised by the repro toolchain."""
 
 
+class ConfigError(ReproError):
+    """A build option names no legal value: a wrong type, an unknown mode
+    or an out-of-range count (see :mod:`repro.pipeline.config`).  Raised
+    when the configuration is constructed, before any build work."""
+
+
 class DiagnosticError(ReproError):
     """A source-level error (lex/parse/sema) with location information."""
 

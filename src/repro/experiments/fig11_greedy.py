@@ -15,7 +15,6 @@ Two parts:
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 from typing import List
 

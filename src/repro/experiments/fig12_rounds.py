@@ -12,7 +12,7 @@ The three claims under reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.experiments.common import app_spec, build_app, format_table, pct_saving
 from repro.pipeline import BuildConfig

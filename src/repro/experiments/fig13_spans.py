@@ -13,8 +13,8 @@ statistical significance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.experiments.common import (
     app_spec,
@@ -24,7 +24,6 @@ from repro.experiments.common import (
     optimized_config,
 )
 from repro.sim.timing import DEVICE_GRID
-from repro.workloads.appgen import AppSpec
 from repro.workloads.spans import OS_GRID, select_spans, span_grid
 
 

@@ -9,8 +9,8 @@ code-size growth rate" headline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 from repro.analysis.regression import LinearFit, linear_fit
 from repro.experiments.common import (

@@ -10,7 +10,7 @@ ending in a call or return (paper: 67%).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.analysis.patterns import mine_build_patterns, top_patterns

@@ -24,7 +24,6 @@ from repro.experiments.common import (
     build_app,
     format_table,
     optimized_config,
-    pct_saving,
 )
 from repro.pipeline import BuildConfig
 from repro.sim.timing import DEVICE_GRID
@@ -76,7 +75,7 @@ def run(scale: str = "small", week: int = 0, rounds: int = 5,
     appended = build_app(spec, optimized_config(rounds))
     near = build_app(spec, BuildConfig(pipeline="wholeprogram",
                                        outline_rounds=rounds,
-                                       outlined_layout="near-callers"))
+                                       layout="near-callers"))
     spans = select_spans(spec, count=num_spans)
     device, os_version = DEVICE_GRID[2], OS_GRID[2]
     layout_rows = []

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.experiments.common import app_spec, build_app, format_table
 from repro.pipeline import BuildConfig

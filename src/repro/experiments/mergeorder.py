@@ -88,8 +88,7 @@ def _after_row(base, target: str, mode: str, rounds: int) -> MergeOrderRow:
             module, mode=mode, entry_symbol=base.image.entry_symbol)
         folded += stats["functions_folded"]
     image = link_binary(modules, entry_symbol=base.image.entry_symbol,
-                        outlined_layout=base.config.outlined_layout,
-                        target=target)
+                        layout=base.config.layout, target=target)
     verify_image(image, target=target)
     return MergeOrderRow(
         target=target, mode=mode, order="after", rounds=rounds,

@@ -13,7 +13,7 @@ predictable by modern hardware").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import copy
 
@@ -30,7 +30,6 @@ from repro.isa.registers import FP, LR, SP
 from repro.link.linker import link_binary
 from repro.outliner.repeated import repeated_outline_functions
 from repro.pipeline import BuildConfig, build_program, run_build
-from repro.sim.cpu import run_binary
 from repro.sim.timing import DeviceConfig, TimingModel
 from repro.workloads.swift_benchmarks import BENCHMARK_NAMES, load_benchmark
 

@@ -25,7 +25,7 @@ Key jobs beyond ordinary checking:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SemaError
 from repro.frontend import ast

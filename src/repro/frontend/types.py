@@ -14,8 +14,8 @@ reference types here (NSArray-like), and class references are nullable
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 class Type:

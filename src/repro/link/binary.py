@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
-from repro.isa.instructions import INSTR_BYTES, MachineFunction, MachineGlobal, MachineInstr
+from repro.isa.instructions import INSTR_BYTES, MachineInstr
 from repro.target.arm64 import ARM64
-from repro.runtime import layout
 
 TEXT_BASE = 0x1_0000_0000
 PAGE_SIZE = 4096

@@ -3,11 +3,14 @@
 PR 4 gave the linker exact per-instruction addresses and the timing model
 line-straddle accounting; this module is the optimization that substrate
 was built for: *where* each function lands in ``__text`` decides which
-icache lines, iTLB entries, and text pages a cold span touches.  Three
+icache lines, iTLB entries, and text pages a cold span touches.  Four
 orderings sit behind ``BuildConfig.layout``:
 
 * ``"source"`` — link order as the modules arrived (the baseline every
-  prior PR shipped; bit-identical to the pre-layout-stage linker);
+  prior PR shipped; bit-identical to the pre-layout-stage linker), with
+  outlined functions wherever the outliner appended them;
+* ``"near-callers"`` — link order, except that each outlined function
+  sits directly after its busiest caller (the paper's future work #3);
 * ``"callgraph-c3"`` — C3-style call-chain clustering (*Optimizing
   Function Layout for Mobile Applications*, arXiv 2211.09285): each
   function starts as its own cluster, callees are appended to their
@@ -21,17 +24,8 @@ collected by the simulator; without a profile the pass falls back to
 static call-site counts, which keeps ``callgraph-c3`` deterministic and
 usable before any run exists.
 
-The pre-existing ``outlined_layout="near-callers"`` placement (the
-paper's future work #3) lives here too, as the outlined-function special
-case of the same ordering stage.  It asserts a *physical adjacency*
-between each outlined body and its busiest caller; reordering afterwards
-would silently break that adjacency and re-pack clusters whose byte
-budget was computed against the target's function-alignment rule, so the
-combination is rejected up front with a typed :class:`LinkError` (see
-:func:`validate_layout_request`).
-
 Every ordering must be a permutation of its input — the linker enforces
-that (again with a typed ``LinkError``) rather than letting a buggy
+that (with a typed ``LinkError``) rather than letting a buggy
 ordering produce an image that only the post-link verifier can reject.
 """
 
@@ -46,9 +40,7 @@ from repro.isa.instructions import MachineFunction
 from repro.target.spec import TargetSpec
 
 #: Valid ``BuildConfig.layout`` values.
-LAYOUT_MODES = ("source", "callgraph-c3", "random")
-#: Valid ``BuildConfig.outlined_layout`` values.
-OUTLINED_LAYOUTS = ("appended", "near-callers")
+LAYOUT_MODES = ("source", "near-callers", "callgraph-c3", "random")
 
 #: C3 cluster byte budget: once a cluster reaches a text page, appending
 #: more functions cannot improve page locality and starts hurting the
@@ -71,37 +63,8 @@ class LayoutDecision:
     used_profile: bool = False
 
 
-def validate_layout_request(layout: str, outlined_layout: str,
-                            spec: TargetSpec) -> None:
-    """Reject invalid or contradictory layout requests with a typed error.
-
-    ``near-callers`` + a reordering layout is the combination that used
-    to be expressible only as silent breakage: near-callers guarantees
-    each outlined body sits directly after its busiest caller, and its
-    byte accounting (like the outliner cost model's
-    ``call_site_alignment_slack``) is computed against the target's
-    function-alignment rule for *that* adjacency.  A later reorder both
-    destroys the adjacency and re-pads every moved function, so the
-    linker refuses the request instead of linking an image whose layout
-    contract is already broken.
-    """
-    if layout not in LAYOUT_MODES:
-        raise LinkError(f"unknown layout {layout!r}; expected one of: "
-                        f"{', '.join(LAYOUT_MODES)}")
-    if outlined_layout not in OUTLINED_LAYOUTS:
-        raise LinkError(f"unknown outlined layout {outlined_layout!r}")
-    if outlined_layout == "near-callers" and layout != "source":
-        raise LinkError(
-            f"outlined_layout='near-callers' requires layout='source': "
-            f"layout={layout!r} would reorder functions after near-caller "
-            f"placement, breaking the outlined-body adjacency guarantee "
-            f"and the {spec.function_alignment}-byte function-alignment "
-            f"accounting it was priced under on target {spec.name!r}")
-
-
 def order_functions(functions: List[MachineFunction], *,
                     layout: str = "source",
-                    outlined_layout: str = "appended",
                     profile=None,
                     seed: int = 0,
                     spec: TargetSpec) -> LayoutDecision:
@@ -111,12 +74,15 @@ def order_functions(functions: List[MachineFunction], *,
     object with an ``edge_weights()`` returning ``{(caller, callee):
     count}``); ``None`` selects the static call-site census.
     """
-    validate_layout_request(layout, outlined_layout, spec)
+    if layout not in LAYOUT_MODES:
+        raise LinkError(f"unknown layout {layout!r}; expected one of: "
+                        f"{', '.join(LAYOUT_MODES)}")
     ordered = list(functions)
-    if outlined_layout == "near-callers":
-        ordered = order_outlined_near_callers(ordered)
     if layout == "source":
         return LayoutDecision(order=ordered, mode=layout)
+    if layout == "near-callers":
+        return LayoutDecision(order=order_outlined_near_callers(ordered),
+                              mode=layout)
     if layout == "random":
         rng = random.Random(seed)
         rng.shuffle(ordered)

@@ -16,7 +16,6 @@ from repro.errors import LinkError
 from repro.link.funclayout import order_functions
 from repro.isa.instructions import (
     INSTR_BYTES,
-    Label,
     MachineFunction,
     MachineGlobal,
     MachineModule,
@@ -37,29 +36,22 @@ from repro.runtime.names import ALL_RUNTIME_SYMBOLS
 
 def link_binary(modules: Sequence[MachineModule],
                 entry_symbol: Optional[str] = None,
-                outlined_layout: str = "appended",
                 target: Union[str, TargetSpec, None] = None,
                 layout: str = "source",
                 layout_profile=None,
                 layout_seed: int = 0) -> BinaryImage:
     """Link machine modules into an executable image.
 
-    ``outlined_layout`` controls where outlined functions land in __text:
-
-    * ``"appended"`` — wherever the outliner appended them (what the paper
-      shipped; outlined code clusters at the end of its module);
-    * ``"near-callers"`` — each outlined function is placed directly after
-      the function with the most call sites to it, improving the locality
-      of outlined code (the paper's future work #3).
-
     ``layout`` selects the whole-image function ordering (see
-    :mod:`repro.link.funclayout`): ``"source"`` keeps link order,
-    ``"callgraph-c3"`` clusters hot call chains using *layout_profile*
-    (a :class:`~repro.sim.profile.LayoutProfile`; falls back to a static
-    call-site census when ``None``), ``"random"`` is a *layout_seed*-ed
-    shuffle.  ``near-callers`` composes only with ``layout="source"``;
-    other combinations raise :class:`LinkError` (they would break the
-    outlined-body adjacency contract).
+    :mod:`repro.link.funclayout`): ``"source"`` keeps link order, with
+    outlined functions wherever the outliner appended them (what the
+    paper shipped); ``"near-callers"`` places each outlined function
+    directly after the function with the most call sites to it (the
+    paper's future work #3); ``"callgraph-c3"`` clusters hot call chains
+    using *layout_profile* (a :class:`~repro.sim.profile.LayoutProfile`;
+    falls back to a static call-site census when ``None``); ``"random"``
+    is a *layout_seed*-ed shuffle.  An unknown ``layout`` raises
+    :class:`LinkError`.
 
     ``target`` selects the width/alignment model: on a fixed-width target
     the classic uniform layout is kept (address = base + index * 4); on a
@@ -78,10 +70,8 @@ def link_binary(modules: Sequence[MachineModule],
     input_functions: List[MachineFunction] = []
     for module in modules:
         input_functions.extend(module.functions)
-    with trace.span("layout", target=spec.name, mode=layout,
-                    outlined=outlined_layout):
+    with trace.span("layout", target=spec.name, mode=layout):
         decision = order_functions(input_functions, layout=layout,
-                                   outlined_layout=outlined_layout,
                                    profile=layout_profile, seed=layout_seed,
                                    spec=spec)
     ordered_functions = decision.order
@@ -91,7 +81,7 @@ def link_binary(modules: Sequence[MachineModule],
     if sorted(fn.name for fn in ordered_functions) != \
             sorted(fn.name for fn in input_functions):
         raise LinkError(
-            f"layout {layout!r}/{outlined_layout!r} is not a permutation of "
+            f"layout {layout!r} is not a permutation of "
             f"the input: {len(input_functions)} functions in, "
             f"{len(ordered_functions)} out")
 

@@ -31,7 +31,7 @@ structurally wrong binary must never be returned to the caller.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
 from repro.errors import ImageVerifierError
 from repro.isa.instructions import Opcode, Sym

@@ -13,7 +13,7 @@ Value classes are just ``"i"`` (64-bit integer / pointer) and ``"f"``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import LIRError
 

@@ -12,7 +12,6 @@ sequences whose lowered machine code repeats across the program:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import LIRError

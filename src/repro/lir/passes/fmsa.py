@@ -12,8 +12,7 @@ cost; sub-instruction repeats remain invisible to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lir import ir
 from repro.lir.passes.mergefunctions import _address_taken, const_token

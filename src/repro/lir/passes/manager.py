@@ -19,7 +19,7 @@ passes themselves stay oblivious to observability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.lir import ir
 from repro.obs import trace

@@ -8,7 +8,7 @@ at iterated dominance frontiers, then renaming along the dominator tree.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.lir import ir
 from repro.lir.cfg import compute_dominators, dominance_frontiers, reachable_blocks

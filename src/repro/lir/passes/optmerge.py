@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.lir import ir
 from repro.lir.passes import fmsa, mergefunctions

@@ -6,8 +6,6 @@ Runs after mem2reg, so it must keep phi incoming labels consistent.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.lir import ir
 from repro.lir.cfg import reachable_blocks
 

@@ -11,7 +11,7 @@ Checks the invariants the backend relies on; used heavily by tests:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Set
 
 from repro.errors import VerifierError
 from repro.lir import ir

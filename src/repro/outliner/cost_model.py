@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Union
+from typing import Sequence, Union
 
 from repro.isa.instructions import MachineInstr, Opcode
 from repro.target import get_target

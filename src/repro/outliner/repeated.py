@@ -13,7 +13,7 @@ The externally visible knob is ``rounds`` — the paper's
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.isa.instructions import MachineFunction, MachineModule

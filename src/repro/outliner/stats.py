@@ -9,14 +9,13 @@ program, producing the raw data behind Figures 5-8 and Listings 1-8.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.instructions import MachineFunction
 from repro.outliner.candidates import (
     InstructionMapper,
     prune_overlaps,
-    sequence_uses_sp,
 )
 from repro.outliner.cost_model import OutlineClass, cost_of
 from repro.outliner.suffix_tree import SuffixTree

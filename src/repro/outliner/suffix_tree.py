@@ -12,7 +12,7 @@ The implementation is iterative (no recursion limits) and linear-time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Sentinel id guaranteed unique (appended internally).

@@ -136,11 +136,6 @@ def _merge_passes(config: BuildConfig, per_module: bool = False):
     will compile.  ``per_module`` namespaces merged-body symbols by module
     (the default pipeline's llc does the same for outlined functions).
     """
-    from repro.pipeline.config import MERGE_MODES
-
-    if config.merge_mode not in MERGE_MODES:
-        raise ReproError(f"unknown merge_mode {config.merge_mode!r}; "
-                         f"expected one of: {', '.join(MERGE_MODES)}")
     if config.merge_mode == "exact":
         from repro.lir.passes import mergefunctions
 
@@ -217,11 +212,6 @@ def _strip_stage(result: "BuildResult", config: BuildConfig,
     reach __text (including outlined bodies and merge thunks) exists and
     nothing has been laid out yet.
     """
-    from repro.pipeline.config import STRIP_MODES
-
-    if config.strip not in STRIP_MODES:
-        raise ReproError(f"unknown strip mode {config.strip!r}; "
-                         f"expected one of: {', '.join(STRIP_MODES)}")
     report.strip_mode = config.strip
     if config.strip == "off":
         return
@@ -367,7 +357,6 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
         layout_profile = LayoutProfile.load(config.profile_path)
     with report.phase("link"):
         result.image = link_binary(result.machine_modules, entry_symbol=entry,
-                                   outlined_layout=config.outlined_layout,
                                    target=config.target,
                                    layout=config.layout,
                                    layout_profile=layout_profile,
@@ -696,7 +685,8 @@ def _image_cache_probe(items: List[Tuple[str, str]], frontend: BuildReport,
     # A cache-restored image gets re-verified every time: the pickle on
     # disk, not the linker's output, is what a torn write or bit flip
     # would have damaged.
-    _verify(entry["image"], config, report)
+    with report.phase("verify"):
+        verify_image(entry["image"], target=config.target)
     report.image_cache_hit = True
     # The image key covers every module key, so each module is warm by
     # construction.
@@ -734,7 +724,8 @@ def _finish_slice(artifact: "ProgramArtifact",
                                    registry=artifact.registry, report=report,
                                    module_keys=artifact.llc_base_keys,
                                    cache=cache)
-        _verify(result.image, config, report)
+        with report.phase("verify"):
+            verify_image(result.image, target=config.target)
         if cache is not None and img_key is not None:
             with report.phase("cache-store"):
                 cache.store(img_key, {
@@ -881,15 +872,6 @@ def build_targets(sources: SourceModules,
                     results[name].report.note(
                         f"frontend shared with target {pending[0]}")
     return {name: results[name] for name in configs}
-
-
-def _verify(image: BinaryImage, config: BuildConfig,
-            report: BuildReport) -> None:
-    if not config.verify_image:
-        return
-    with report.phase("verify"):
-        verify_image(image, target=config.target)
-    report.image_verified = True
 
 
 def _record_cache_metrics(cache: Optional[ModuleCache],

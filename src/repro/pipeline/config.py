@@ -25,17 +25,38 @@ Precedence
 built-in defaults; anything passed as an override (or as an explicit CLI
 flag — the CLI uses ``None``-sentinel defaults to tell "explicit" from
 "absent") wins over the preset.
+
+Legal values
+------------
+
+Every field declares its legal values once, in its ``_stage(...)`` tag:
+a string mode names its tuple of choices (which the CLI's ``choices=``
+reads too), a count its minimum, and every field's annotation its exact
+type, so a bool is not an int.  ``BuildConfig(...)``,
+:meth:`BuildConfig.preset` and ``dataclasses.replace`` check all of them
+on construction and raise :class:`~repro.errors.ConfigError` naming the
+field, the value and what is legal, before any build work, journal
+record or cache entry exists.  A target name is checked as a string
+only: whether it is registered is the build's question.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Callable, Dict, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import (Callable, Dict, Optional, Tuple, Union, get_args,
+                    get_origin, get_type_hints)
 
-from repro.errors import ReproError
+from repro.errors import ConfigError, ReproError
+from repro.link.funclayout import LAYOUT_MODES
 from repro.pipeline.faults import FaultPlan
 from repro.target import default_target_name
+
+#: Valid pipeline shapes: Figure 10 and Figure 2.
+PIPELINES = ("wholeprogram", "default")
+
+#: Valid llvm-link data-layout modes.
+DATA_LAYOUTS = ("module-order", "interleaved")
 
 #: Valid whole-program function-merging modes.
 MERGE_MODES = ("off", "exact", "optimistic")
@@ -74,11 +95,15 @@ STAGES = ("frontend", "llc", "link", "speed", "robustness")
 
 
 def _stage(stage: str, default=MISSING, *, default_factory=MISSING,
-           key: Callable[[object], str] = repr):
+           key: Callable[[object], str] = repr,
+           choices: Optional[Tuple[str, ...]] = None,
+           minimum: Optional[int] = None):
     """A BuildConfig field tagged with the cache *stage* it enters; *key*
-    renders the field's value into that stage's fingerprint."""
+    renders the field's value into that stage's fingerprint, and
+    *choices* or *minimum* bound its legal values."""
     return field(default=default, default_factory=default_factory,
-                 metadata={"stage": stage, "key": key})
+                 metadata={"stage": stage, "key": key, "choices": choices,
+                           "minimum": minimum})
 
 
 def _partitioned(cls):
@@ -123,7 +148,7 @@ class BuildConfig:
     Every field is tagged with the cache stage it enters (:data:`STAGES`).
     """
 
-    pipeline: str = _stage("llc", "wholeprogram")  # or "default"
+    pipeline: str = _stage("llc", "wholeprogram", choices=PIPELINES)
     #: Target specification name (see :mod:`repro.target`); defaults to
     #: ``$REPRO_TARGET`` or "arm64".  Changes instruction widths, alignment
     #: and the outliner's cost model.
@@ -132,10 +157,10 @@ class BuildConfig:
     #: Rounds of machine outlining; 0 disables.  In the default pipeline
     #: outlining runs per module; in the whole-program pipeline it sees the
     #: entire program (the paper's key distinction, Figure 12).
-    outline_rounds: int = _stage("llc", 0)
+    outline_rounds: int = _stage("llc", 0, minimum=0)
     #: llvm-link data-layout mode: "module-order" (paper's fix) or
     #: "interleaved" (upstream behaviour causing the §VI-3 regression).
-    data_layout: str = _stage("link", "module-order")
+    data_layout: str = _stage("link", "module-order", choices=DATA_LAYOUTS)
     #: Baseline size optimizations (Table I rows).
     enable_sil_outlining: bool = _stage("frontend", False)
     enable_fmsa: bool = _stage("link", False)
@@ -146,7 +171,8 @@ class BuildConfig:
     #: passes so the merger prices exactly the LIR that llc compiles.
     #: Defaults to ``$REPRO_MERGE`` (the CI matrix axis) or "off".
     merge_mode: str = _stage(
-        "llc", default_factory=lambda: env_default("REPRO_MERGE") or "off")
+        "llc", default_factory=lambda: env_default("REPRO_MERGE") or "off",
+        choices=MERGE_MODES)
     #: Strip functions unreachable from the entry point (app builds).
     #: Runs as an early LIR pass over the merged IR (whole-program
     #: pipeline only); see ``strip`` for the link-time machine-level
@@ -159,15 +185,14 @@ class BuildConfig:
     #: including outlined and merged functions — so it catches dead code
     #: the early LIR pass cannot (see
     #: :func:`repro.lir.passes.globaldce.strip_program`).
-    strip: str = _stage("link", "off")
-    #: Text layout of outlined functions: "appended" (what the paper
-    #: shipped) or "near-callers" (the paper's future work #3).
-    outlined_layout: str = _stage("link", "appended")
+    strip: str = _stage("link", "off", choices=STRIP_MODES)
     #: Whole-image function ordering (see :mod:`repro.link.funclayout`):
-    #: "source" (link order), "callgraph-c3" (profile-guided call-chain
-    #: clustering), or "random" (seeded control arm).  "near-callers"
-    #: composes only with "source"; the linker rejects other combinations.
-    layout: str = _stage("link", "source")
+    #: "source" (link order, outlined functions where the outliner
+    #: appended them: what the paper shipped), "near-callers" (each
+    #: outlined function after its busiest caller: the paper's future
+    #: work #3), "callgraph-c3" (profile-guided call-chain clustering),
+    #: or "random" (seeded control arm).
+    layout: str = _stage("link", "source", choices=LAYOUT_MODES)
     #: Seed for ``layout="random"``.
     layout_seed: int = _stage("link", 0)
     #: Path to a serialized :class:`~repro.sim.profile.LayoutProfile` that
@@ -192,10 +217,6 @@ class BuildConfig:
     persistent_workers: bool = _stage("speed", False)
 
     # -- robustness knobs (never affect the produced binary) ----------------
-    #: Run the post-link binary verifier on every build and every
-    #: image-cache hit; a failure raises ImageVerifierError instead of
-    #: returning a structurally wrong binary.
-    verify_image: bool = _stage("robustness", True)
     #: Deadline in seconds for one parallel compilation chunk; a chunk
     #: that misses it is retried and finally recompiled serially in the
     #: parent.  None disables the deadline (a hung worker then hangs the
@@ -216,6 +237,21 @@ class BuildConfig:
     #: boundaries and between chunk-retry rounds.  The daemon gives every
     #: job its own scope; ``None`` (the one-shot CLI) never cancels.
     cancel_scope: Optional[object] = _stage("robustness", None)
+
+    def __post_init__(self) -> None:
+        for name, types, choices, minimum in _CHECKS:
+            value = getattr(self, name)
+            if types is not None and type(value) not in types:
+                expected = " or ".join(
+                    "None" if t is type(None) else t.__name__ for t in types)
+                raise ConfigError(f"BuildConfig.{name}={value!r}: expected "
+                                  f"{expected}, got {type(value).__name__}")
+            if choices is not None and value not in choices:
+                raise ConfigError(f"BuildConfig.{name}={value!r}: expected "
+                                  f"one of: {', '.join(choices)}")
+            if minimum is not None and value < minimum:
+                raise ConfigError(f"BuildConfig.{name}={value!r}: expected "
+                                  f"an int >= {minimum}")
 
     def _fingerprint(self, *stages: str) -> str:
         return ";".join(
@@ -246,16 +282,29 @@ class BuildConfig:
         try:
             base = PRESETS[name]
         except KeyError:
-            raise ReproError(
+            raise ConfigError(
                 f"unknown preset {name!r}; expected one of: "
                 f"{', '.join(sorted(PRESETS))}") from None
-        config = cls(**base)
-        if overrides:
-            try:
-                config = replace(config, **overrides)
-            except TypeError as exc:
-                raise ReproError(f"bad preset override: {exc}") from None
-        return config
+        try:
+            return cls(**{**base, **overrides})
+        except TypeError as exc:
+            raise ConfigError(f"bad preset override: {exc}") from None
+
+
+def _legal_types(hint) -> Optional[Tuple[type, ...]]:
+    """The exact types a field annotated *hint* admits (None = any): a
+    bool is not an int, an int is a float, and Optional admits None."""
+    members = get_args(hint) if get_origin(hint) is Union else (hint,)
+    if object in members:
+        return None
+    return members + (int,) if float in members else members
+
+
+_HINTS = get_type_hints(BuildConfig)
+
+#: (field, legal types, choices, minimum), checked by ``__post_init__``.
+_CHECKS = tuple((f.name, _legal_types(_HINTS[f.name]), f.metadata["choices"],
+                 f.metadata["minimum"]) for f in fields(BuildConfig))
 
 
 #: Named presets (:meth:`BuildConfig.preset` / CLI ``--preset``).  Each

@@ -208,11 +208,7 @@ def resolve_workers(workers: int) -> int:
     and clamps nonsensical negative requests to serial.
     """
     if workers == 0:
-        try:
-            count = os.cpu_count()
-        except NotImplementedError:  # exotic platforms
-            count = None
-        return max(1, (count or 2) - 1)
+        return max(1, (os.cpu_count() or 2) - 1)
     return max(1, workers)
 
 

@@ -107,8 +107,6 @@ class BuildReport:
     notes: List[str] = field(default_factory=list)
     #: Structured recovery actions (retries, serial re-runs, quarantines).
     degradations: List[DegradationEvent] = field(default_factory=list)
-    #: Whether the post-link verifier checked the returned image.
-    image_verified: bool = False
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -191,7 +189,6 @@ class BuildReport:
             "phase_wall": dict(self.phase_wall),
             "notes": list(self.notes),
             "degradations": [d.as_dict() for d in self.degradations],
-            "image_verified": self.image_verified,
         }
 
     @classmethod
@@ -224,7 +221,6 @@ class BuildReport:
             phase_wall={str(k): float(v) for k, v in
                         (data.get("phase_wall") or {}).items()},
             notes=[str(n) for n in (data.get("notes") or [])],
-            image_verified=bool(data.get("image_verified", False)),
         )
         report.degradations = [DegradationEvent.from_dict(d)
                                for d in (data.get("degradations") or [])]
@@ -277,7 +273,7 @@ class BuildReport:
                               for name, secs in self.phase_wall.items())
             lines.append(f"wall:      {parts} "
                          f"(total {self.total_wall * 1000:.0f}ms)")
-        if self.image_verified:
+        if "verify" in self.phase_wall:
             lines.append("verify:    image verified")
         for event in self.degradations:
             lines.append(f"degraded:  {event.render()}")

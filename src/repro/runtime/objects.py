@@ -8,8 +8,8 @@ use-after-free in generated code faults loudly in tests.  The leak check
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Union
 
 from repro.errors import RuntimeTrap
 from repro.runtime import layout

@@ -50,7 +50,6 @@ from typing import Deque, Dict, List, Optional
 
 from repro.errors import (
     CacheCorruptionError,
-    JobCancelledError,
     ProtocolError,
     QueueFullError,
     ReproError,
@@ -64,6 +63,7 @@ from repro.pipeline.cancel import CancelScope
 from repro.pipeline.faults import FaultPlan
 from repro.service.journal import JobJournal
 from repro.service.protocol import (
+    PROTOCOL_VERSION,
     config_from_wire,
     error_to_wire,
     image_summary,
@@ -602,7 +602,8 @@ class BuildService:
         op = request.get("op")
         try:
             if op == "ping":
-                return {"ok": True, "pong": True, "version": 1}
+                return {"ok": True, "pong": True,
+                        "version": PROTOCOL_VERSION}
             if op == "status":
                 return {"ok": True, "summary": self.summary(),
                         "metrics": self.metrics.as_dict()}

@@ -12,9 +12,9 @@ and never silently yields a partial object.
 The config that travels with a submit request is a *whitelisted subset*
 of :class:`~repro.pipeline.config.BuildConfig`: the fields that define
 **what** to build (pipeline, target, rounds, merge mode, pass toggles).
-Operational knobs — workers, cache dir, fault plan, deadlines, image
-verification — belong to the daemon, which is what makes one shared
-cache and one admission policy possible across many clients.
+Operational knobs — workers, cache dir, fault plan, deadlines — belong
+to the daemon, which is what makes one shared cache and one admission
+policy possible across many clients.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ CONFIG_WIRE_EXCLUDED = {
 #: Fields a client may set: they define the artifact, not the machinery.
 #: Derived from the BuildConfig stage tags: every field that enters a
 #: cache key is wire-settable unless excluded above, and every speed or
-#: robustness field (workers, cache dir, verify_image, deadlines) stays
-#: the daemon's.  A new key-tagged knob therefore travels automatically.
+#: robustness field (workers, cache dir, deadlines) stays the daemon's.
+#: A new key-tagged knob therefore travels automatically.
 CONFIG_WIRE_FIELDS = tuple(
     name for name in KEY_FIELDS if name not in CONFIG_WIRE_EXCLUDED)
 
@@ -146,7 +146,10 @@ def config_to_wire(config: BuildConfig) -> Dict[str, object]:
 
 
 def config_from_wire(data: Optional[Dict[str, object]]) -> BuildConfig:
-    """Whitelisted BuildConfig from a wire dict; typed error on junk."""
+    """Whitelisted BuildConfig from a wire dict: a
+    :class:`~repro.errors.ServiceError` for a field that may not travel,
+    a :class:`~repro.errors.ConfigError` for a value of a wrong type or
+    outside the field's legal values."""
     data = data or {}
     unknown = sorted(set(data) - set(CONFIG_WIRE_FIELDS))
     if unknown:
@@ -154,10 +157,7 @@ def config_from_wire(data: Optional[Dict[str, object]]) -> BuildConfig:
             f"unknown build-config field(s) on the wire: "
             f"{', '.join(unknown)} (allowed: "
             f"{', '.join(CONFIG_WIRE_FIELDS)})")
-    try:
-        return BuildConfig(**{str(k): v for k, v in data.items()})
-    except TypeError as exc:
-        raise ServiceError(f"bad build config: {exc}") from exc
+    return BuildConfig(**data)
 
 
 # --- image identity ----------------------------------------------------------

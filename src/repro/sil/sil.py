@@ -19,7 +19,7 @@ Design notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple
 
 from repro.errors import SILError
 from repro.frontend.types import Type

@@ -30,7 +30,6 @@ from repro.frontend.types import (
     INT,
     STRING,
     VOID,
-    ArrayType,
     ClassType,
     FuncType,
     NilType,

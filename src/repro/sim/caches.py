@@ -8,7 +8,7 @@ less icache and iTLB pressure").
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 
 class SetAssociativeCache:

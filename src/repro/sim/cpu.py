@@ -11,7 +11,7 @@ The interpreter is strict: reads of undefined memory, type-confused cells
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.errors import SimulationError, TrapError

@@ -20,7 +20,7 @@ older devices have smaller caches and slower memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
 from repro.sim.caches import TLB, SetAssociativeCache

@@ -10,7 +10,7 @@ simulated device (cache configuration) under one simulated OS version
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.pipeline.build import BuildResult
 from repro.sim.cpu import run_binary

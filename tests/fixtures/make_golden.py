@@ -37,8 +37,7 @@ APP_SPEC = AppSpec(seed=11, base_features=4, num_vendors=2)
 GOLDEN_CONFIGS = {
     "app-default-r3": dict(pipeline="default", outline_rounds=3,
                            merge_mode="off"),
-    "app-nearcallers-r5": dict(outline_rounds=5,
-                               outlined_layout="near-callers",
+    "app-nearcallers-r5": dict(outline_rounds=5, layout="near-callers",
                                merge_mode="off"),
     "app-wholeprogram-r0": dict(outline_rounds=0, merge_mode="off"),
     "app-wholeprogram-r5": dict(outline_rounds=5, merge_mode="off"),

@@ -33,7 +33,7 @@ BASELINE_PATH = os.path.join(FIXTURE_DIR, "size_baseline.json")
 APP_SPEC = AppSpec(seed=23, base_features=8, num_vendors=3)
 
 #: The configuration under gate: the paper's shipping configuration.
-BASELINE_CONFIG = dict(preset="min-size", verify_image=False)
+BASELINE_CONFIG = dict(preset="min-size")
 
 #: Every target slices from one frontend, exactly like a release build.
 BASELINE_TARGETS = ("arm64", "thumb2c")

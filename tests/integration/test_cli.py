@@ -144,6 +144,14 @@ class TestErrorHandling:
         assert code == 1
         assert "bad fault spec" in err
 
+    def test_bad_knob_is_rejected_before_any_work(self, source_file):
+        code, out, err = run_cli_err(["build", source_file, "--rounds", "-1"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ConfigError: ")
+        assert "outline_rounds" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 class TestRobustnessFlags:
     def test_faulted_build_degrades_and_still_answers(self, source_file,
@@ -177,9 +185,6 @@ class TestRobustnessFlags:
         code, out = run_cli(["build", source_file])
         assert code == 0
         assert "image verified" in out
-        code, out = run_cli(["build", source_file, "--no-verify-image"])
-        assert code == 0
-        assert "image verified" not in out
 
 
 class TestObservabilityFlags:

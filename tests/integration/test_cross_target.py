@@ -143,7 +143,7 @@ def test_thumb2c_layout_is_variable_width_and_padded(thumb_results):
 def test_thumb2c_passes_the_structural_verifier(thumb_results):
     for result in thumb_results.values():
         verify_image(result.image)  # target taken from the image
-        assert result.report.image_verified
+        assert "verify" in result.report.phase_wall
 
 
 def test_thumb2c_outlining_never_increases_text(thumb_results):

@@ -27,7 +27,7 @@ FULL_STACK = (
     BuildConfig(pipeline="wholeprogram", outline_rounds=3,
                 enable_sil_outlining=True, merge_mode="exact",
                 enable_fmsa=True, enable_inliner=True,
-                data_layout="interleaved", outlined_layout="near-callers"),
+                data_layout="interleaved", layout="near-callers"),
     BuildConfig(pipeline="default", outline_rounds=2,
                 enable_sil_outlining=True, enable_fmsa=True),
 )

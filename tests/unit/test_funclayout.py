@@ -6,12 +6,7 @@ import pytest
 
 from repro.errors import LinkError, ProfileError
 from repro.link import funclayout
-from repro.link.funclayout import (
-    LAYOUT_MODES,
-    LayoutDecision,
-    order_functions,
-    validate_layout_request,
-)
+from repro.link.funclayout import LAYOUT_MODES, LayoutDecision, order_functions
 from repro.link.linker import link_binary
 from repro.pipeline import BuildConfig, build_program
 from repro.sim.profile import LayoutProfile
@@ -42,41 +37,10 @@ def _modules(source=CALLGRAPH_PROGRAM, **config_kwargs):
 
 
 class TestValidation:
-    @pytest.mark.parametrize("target", ("arm64", "thumb2c"))
-    def test_near_callers_plus_reordering_layout_rejected(self, target):
-        spec = get_target(target)
-        for layout in ("callgraph-c3", "random"):
-            with pytest.raises(LinkError, match="near-callers"):
-                validate_layout_request(layout, "near-callers", spec)
-
-    def test_near_callers_plus_source_allowed(self):
-        validate_layout_request("source", "near-callers",
-                                get_target("arm64"))
-
     def test_unknown_layout_rejected(self):
         with pytest.raises(LinkError, match="unknown layout"):
-            validate_layout_request("hot-cold-split", "appended",
-                                    get_target("arm64"))
-
-    def test_unknown_outlined_layout_keeps_legacy_message(self):
-        with pytest.raises(LinkError, match="unknown outlined layout"):
-            validate_layout_request("source", "shuffled",
-                                    get_target("arm64"))
-
-    def test_link_binary_rejects_bad_combination_before_linking(self):
-        modules, entry = _modules()
-        with pytest.raises(LinkError, match="near-callers"):
-            link_binary(modules, entry_symbol=entry,
-                        outlined_layout="near-callers",
-                        layout="callgraph-c3")
-
-    def test_build_config_surfaces_the_rejection(self):
-        """End to end: the pipeline raises the typed LinkError, it does
-        not produce an unverifiable image."""
-        with pytest.raises(LinkError, match="near-callers"):
-            build_program({"Main": CALLGRAPH_PROGRAM},
-                          BuildConfig(outlined_layout="near-callers",
-                                      layout="random"))
+            order_functions([], layout="hot-cold-split",
+                            spec=get_target("arm64"))
 
 
 class TestPermutationGuard:

@@ -221,12 +221,13 @@ class TestBuilds:
                          "func bump(_ unused: Int) {")
         edited = {name: text.replace("bump()", "bump(unused: 0)")
                   for name, text in edited.items()}
-        # Both builds traced: a worker records spans only if it was
-        # forked under a tracer, and the persistent pool forks in the first.
+        # Only the warm build is traced: a worker traces the chunks of the
+        # build that submitted them, even in a pool the untraced cold
+        # build forked.
         tracer = Tracer()
         try:
+            build_program(app, config)
             with use_tracer(tracer):
-                build_program(app, config)
                 warm = build_program(edited, config)
         finally:
             parallel.shutdown_persistent_pool()

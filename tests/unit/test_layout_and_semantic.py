@@ -31,9 +31,9 @@ class TestNearCallersLayout:
     def test_layouts_semantics_identical(self):
         sources = self._app()
         appended = build_program(sources, BuildConfig(
-            outline_rounds=3, outlined_layout="appended"))
+            outline_rounds=3, layout="source"))
         near = build_program(sources, BuildConfig(
-            outline_rounds=3, outlined_layout="near-callers"))
+            outline_rounds=3, layout="near-callers"))
         assert run_build(appended).output == run_build(near).output
         # Reordering functions can change *alignment padding* on a
         # variable-width target; the encoded code bytes must not move.
@@ -45,9 +45,9 @@ class TestNearCallersLayout:
     def test_outlined_functions_relocate(self):
         sources = self._app()
         appended = build_program(sources, BuildConfig(
-            outline_rounds=3, outlined_layout="appended"))
+            outline_rounds=3, layout="source"))
         near = build_program(sources, BuildConfig(
-            outline_rounds=3, outlined_layout="near-callers"))
+            outline_rounds=3, layout="near-callers"))
 
         def positions(build):
             return {ext.name: ext.start for ext in build.image.functions
@@ -60,7 +60,7 @@ class TestNearCallersLayout:
     def test_outlined_adjacent_to_a_caller(self):
         sources = self._app()
         near = build_program(sources, BuildConfig(
-            outline_rounds=1, outlined_layout="near-callers"))
+            outline_rounds=1, layout="near-callers"))
         extents = near.image.functions
         # For at least half the outlined functions, the previous extent in
         # layout order calls them.

@@ -64,7 +64,7 @@ def _fold_and_run(base, mode):
         for key in stats:
             stats[key] += s[key]
     image = link_binary(modules, entry_symbol=base.image.entry_symbol,
-                        outlined_layout=base.config.outlined_layout,
+                        layout=base.config.layout,
                         target=base.config.target)
     verify_image(image)
     return stats, image
@@ -130,7 +130,7 @@ func main() {
     assert taken <= after, "address-taken functions must survive"
     assert before >= after
     image = link_binary(modules, entry_symbol=base.image.entry_symbol,
-                        outlined_layout=base.config.outlined_layout,
+                        layout=base.config.layout,
                         target=base.config.target)
     verify_image(image)
     assert run_binary(image, registry=base.registry).output \

@@ -52,12 +52,6 @@ class TestResolveWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert parallel.resolve_workers(0) == 1
 
-    def test_auto_survives_raising_cpu_count(self, monkeypatch):
-        def boom():
-            raise NotImplementedError
-        monkeypatch.setattr(os, "cpu_count", boom)
-        assert parallel.resolve_workers(0) == 1
-
 
 class TestLadder:
     def test_healthy_pool(self):

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.errors import (
+    ConfigError,
     DeadlineExpiredError,
     JobCancelledError,
     ProtocolError,
@@ -363,6 +364,28 @@ class TestRunningService:
                 assert "unknown target" in job.error["message"]
             assert service.breaker.state == "closed"
             assert service.breaker.trips == 0
+
+    def test_malformed_config_is_rejected_at_admission(self, tmp_path):
+        """A value of a wrong type or outside its field's legal values is
+        a typed rejection at admission: nothing is journaled, nothing is
+        built, and the breaker never sees it, so the next well-formed job
+        from any client runs with the breaker closed."""
+        with running_service(tmp_path) as service:
+            for _ in range(3):
+                with pytest.raises(ConfigError, match="outline_rounds"):
+                    service.submit_job(SOURCES, {"outline_rounds": "5"})
+            response = service.handle_request(
+                {"op": "submit", "sources": SOURCES,
+                 "config": {"layout": "bogus"}})
+            assert response["ok"] is False
+            assert response["error"] == "ConfigError"
+            assert "layout" in response["message"]
+            assert JobJournal(service.journal.path).replay().jobs == {}
+            assert service.breaker.trips == 0
+            job = service.submit_job(SOURCES)
+            assert job.done.wait(timeout=30.0)
+            assert job.status == "ok"
+            assert job.breaker_open is False
 
     def test_breaker_open_forces_serial_uncached(self, tmp_path):
         with running_service(tmp_path, breaker_threshold=1,

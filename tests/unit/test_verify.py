@@ -189,20 +189,9 @@ class TestCachedImageVerification:
         with pytest.raises(ReproError):  # ImageVerifierError is a ReproError
             build_program(self._sources(), self._config(tmp_path))
 
-    def test_verifier_can_be_disabled(self, tmp_path):
-        config = self._config(tmp_path)
-        build_program(self._sources(), config)
-        self._corrupt_cached_image(
-            tmp_path, lambda img: img.instrs.__delitem__(slice(-5, None)))
-        off = BuildConfig(outline_rounds=1, incremental=True,
-                          cache_dir=str(tmp_path), verify_image=False)
-        result = build_program(self._sources(), off)  # no raise
-        assert not result.report.image_verified
-
     def test_report_flags_verified_images(self, tmp_path):
         result = build_program(self._sources(), self._config(tmp_path))
-        assert result.report.image_verified
+        assert "verify" in result.report.phase_wall
         warm = build_program(self._sources(), self._config(tmp_path))
         assert warm.report.image_cache_hit
-        assert warm.report.image_verified
         assert "verify" in warm.report.phase_wall
