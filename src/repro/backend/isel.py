@@ -84,7 +84,6 @@ class FunctionISel:
         self.defs: Dict[int, Tuple[ir.LIRInstr, str]] = self._collect_defs()
         self.cur: Optional[MachineBlock] = None
         self._const_counter = 0
-        self._skipped: Set[int] = set()
         self._trap_div_label: Optional[str] = None
 
     # -- bookkeeping --------------------------------------------------------

@@ -14,7 +14,7 @@ simply invisible above the ISA.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
 from repro.experiments.common import (
@@ -77,22 +77,20 @@ def run(scale: str = "small", week: int = 0, rounds: int = 5) -> LandscapeResult
 
     # Every row pins merge_mode, so $REPRO_MERGE never leaks into the
     # baseline.
+    base = BuildConfig(pipeline="wholeprogram", outline_rounds=0,
+                       enable_sil_outlining=False, enable_fmsa=False,
+                       merge_mode="off")
+
     def text_with(**overrides) -> int:
-        cfg = BuildConfig(pipeline="wholeprogram", outline_rounds=0,
-                          enable_sil_outlining=False, enable_fmsa=False,
-                          merge_mode="off")
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
-        return build_app(spec, cfg).sizes.text_bytes
+        return build_app(spec, replace(base, **overrides)).sizes.text_bytes
 
     base_text = text_with()
     clone_rate = source_clone_rate(sources)
     sil_saving = pct_saving(base_text, text_with(enable_sil_outlining=True))
     merge_saving = pct_saving(base_text, text_with(merge_mode="exact"))
     fmsa_saving = pct_saving(base_text, text_with(enable_fmsa=True))
-    outlined_config = optimized_config(rounds)
-    outlined_config.merge_mode = "off"
-    outlined = build_app(spec, outlined_config)
+    outlined = build_app(spec, replace(optimized_config(rounds),
+                                       merge_mode="off"))
     machine_saving = pct_saving(base_text, outlined.sizes.text_bytes)
 
     savings = {

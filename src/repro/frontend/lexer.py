@@ -85,9 +85,6 @@ class Lexer:
     def _error(self, message: str) -> LexerError:
         return LexerError(message, self.line, self.column, self.filename)
 
-    def _make(self, kind: TokenKind, text: str, value=None, line=None, column=None) -> Token:
-        return Token(kind, text, value, line or self.line, column or self.column)
-
     # -- main loop --------------------------------------------------------
 
     def tokenize(self) -> List[Token]:

@@ -127,7 +127,6 @@ class Sema:
         self._scope_ctx: List[int] = []
         self._contexts: List[_FuncContext] = []
         self._current_module: Optional[ModuleEnv] = None
-        self._current_class: Optional[ClassInfo] = None
         self._loop_depth = 0
         self._try_depth = 0
         self._catch_depth = 0
@@ -357,12 +356,10 @@ class Sema:
             info = self.envs[module.name].classes[cls.name]
             for fld in cls.fields:
                 fld.ty = self._resolve_type(fld.ty, fld)
-            self._current_class = info
             for ini in cls.inits:
                 self._check_init(ini, info)
             for method in cls.methods:
                 self._check_function(method, kind="method", owner=info)
-            self._current_class = None
         self._current_module = None
 
     def _check_global(self, gbl: ast.GlobalDecl) -> None:

@@ -408,12 +408,6 @@ class LIRFunction:
                 return blk
         raise LIRError(f"no block {label!r} in {self.symbol}")
 
-    def block_index(self, label: str) -> int:
-        for i, blk in enumerate(self.blocks):
-            if blk.label == label:
-                return i
-        raise LIRError(f"no block {label!r} in {self.symbol}")
-
     def new_block(self, label: str) -> LIRBlock:
         if any(b.label == label for b in self.blocks):
             raise LIRError(f"duplicate block {label!r} in {self.symbol}")

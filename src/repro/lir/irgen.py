@@ -49,13 +49,11 @@ class _FunctionIRGen:
             source_module=silfn.source_module,
         )
         self.temp_map: Dict[sil.Temp, ir.Operand] = {}
-        self.alloca_map: Dict[sil.Temp, ir.Value] = {}
         self.cur: Optional[ir.LIRBlock] = None
         #: Instructions to prepend when a given SIL block starts (error-code
         #: extraction for try_apply error successors).
         self.block_prefix: Dict[str, List[ir.LIRInstr]] = {}
         self._trap_blocks: Dict[str, str] = {}
-        self._entry_allocas: List[ir.LIRInstr] = []
 
     # -- plumbing ---------------------------------------------------------------
 

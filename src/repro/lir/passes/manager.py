@@ -18,35 +18,12 @@ passes themselves stay oblivious to observability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from repro.lir import ir
 from repro.obs import trace
 
 PassFn = Callable[[ir.LIRModule], object]
-
-
-@dataclass(frozen=True)
-class PassRecord:
-    """What one pass invocation did to one module."""
-
-    name: str
-    module: str
-    instrs_before: int
-    instrs_after: int
-    functions_before: int
-    functions_after: int
-    #: Whatever the pass returned (int count or metrics dict).
-    report: object = None
-
-    @property
-    def instr_delta(self) -> int:
-        return self.instrs_after - self.instrs_before
-
-    @property
-    def function_delta(self) -> int:
-        return self.functions_after - self.functions_before
 
 
 class PassManager:
@@ -56,7 +33,6 @@ class PassManager:
                  scope: str = "module"):
         self.passes = list(passes)
         self.scope = scope
-        self.records: List[PassRecord] = []
 
     def run(self, module: ir.LIRModule) -> Dict[str, object]:
         """Run every pass in order; returns the last report per pass name."""
@@ -67,25 +43,16 @@ class PassManager:
             fns_before = len(module.functions)
             with trace.span(f"lir-pass:{name}", kind="lir-pass",
                             module=module.name, scope=self.scope) as span:
-                report = run_on_module(module)
-                record = PassRecord(
-                    name=name, module=module.name,
-                    instrs_before=instrs_before,
-                    instrs_after=module.num_instrs,
-                    functions_before=fns_before,
-                    functions_after=len(module.functions),
-                    report=report)
-                span.annotate(instr_delta=record.instr_delta,
-                              function_delta=record.function_delta)
-            self.records.append(record)
-            reports[name] = report
+                reports[name] = run_on_module(module)
+                instr_delta = module.num_instrs - instrs_before
+                function_delta = len(module.functions) - fns_before
+                span.annotate(instr_delta=instr_delta,
+                              function_delta=function_delta)
             metrics.inc(f"lir.pass.{name}.runs")
-            metrics.inc(f"lir.pass.{name}.instrs_removed",
-                        -record.instr_delta)
+            metrics.inc(f"lir.pass.{name}.instrs_removed", -instr_delta)
             metrics.inc(f"lir.pass.{name}.functions_removed",
-                        -record.function_delta)
-            metrics.observe(f"lir.pass.{name}.instr_delta",
-                            record.instr_delta)
+                        -function_delta)
+            metrics.observe(f"lir.pass.{name}.instr_delta", instr_delta)
         return reports
 
 

@@ -145,10 +145,6 @@ class Tracer:
         (self._stack[-1].children if self._stack else self.roots).append(span)
         return span
 
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     # -- cross-process aggregation ----------------------------------------
 
     def adopt(self, spans: List[Span], track: int = 0) -> None:
@@ -189,8 +185,6 @@ class NullTracer:
 
     def event(self, name: str, **attrs) -> _NullSpan:
         return _NULL_SPAN
-
-    current = None
 
     def adopt(self, spans, track: int = 0) -> None:
         pass

@@ -31,7 +31,7 @@ import contextlib
 import gc
 import pickle
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backend.llc import LLCOptions, run_llc
@@ -96,8 +96,6 @@ class BuildResult:
                            Callable[[], List[MachineModule]]] = field(
         default_factory=list)
     outline_stats: List[object] = field(default_factory=list)
-    #: Baseline-pass observations (Table I): pass name -> metric dict.
-    pass_reports: Dict[str, dict] = field(default_factory=dict)
     #: Per-phase work counts for the build-time model (§VII-C).
     phase_work: Dict[str, int] = field(default_factory=dict)
     #: Measured phase wall times + cache/parallel telemetry.
@@ -122,10 +120,6 @@ class BuildResult:
 def optimize_module(module: lir_ir.LIRModule) -> None:
     """The standard -Osize scalar cleanup pipeline (opt analog)."""
     PassManager(osize_pipeline()).run(module)
-
-
-#: merge_mode -> the pass name that implements it (report/metrics key).
-_MERGE_PASS_NAME = {"exact": "mergefunctions", "optimistic": "optmerge"}
 
 
 def _merge_passes(config: BuildConfig, per_module: bool = False):
@@ -178,31 +172,6 @@ def _wholeprogram_passes(config: BuildConfig):
     return passes
 
 
-def _note_merge_stats(result: "BuildResult", config: BuildConfig,
-                      report: BuildReport) -> None:
-    """Copy the merge-stage pass report into the build report."""
-    name = _MERGE_PASS_NAME.get(config.merge_mode)
-    stats = result.pass_reports.get(name) if name else None
-    if isinstance(stats, dict):
-        report.merge_stats = dict(stats)
-
-
-def _note_strip_stats(result: "BuildResult", config: BuildConfig,
-                      report: BuildReport) -> None:
-    """Copy the strip-stage pass report into the build report (the image
-    cache stores it in ``pass_reports``, so a warm hit re-renders the
-    same ``strip:`` summary line as the build that populated it)."""
-    report.strip_mode = config.strip
-    stats = result.pass_reports.get("strip")
-    if isinstance(stats, dict):
-        report.stripped_functions = int(stats.get("functions_removed", 0))
-        report.stripped_bytes = int(stats.get("bytes_removed", 0))
-        per = stats.get("per_module")
-        if isinstance(per, dict):
-            report.strip_stats = {str(name): dict(counts)
-                                  for name, counts in per.items()}
-
-
 def _strip_stage(result: "BuildResult", config: BuildConfig,
                  report: BuildReport, entry: Optional[str]) -> None:
     """Link-time whole-program stripping (``BuildConfig.strip``).
@@ -212,7 +181,6 @@ def _strip_stage(result: "BuildResult", config: BuildConfig,
     reach __text (including outlined bodies and merge thunks) exists and
     nothing has been laid out yet.
     """
-    report.strip_mode = config.strip
     if config.strip == "off":
         return
     from repro.lir.passes import globaldce
@@ -221,18 +189,12 @@ def _strip_stage(result: "BuildResult", config: BuildConfig,
     with report.phase("strip"):
         stats = globaldce.strip_program(result.machine_modules, entry,
                                         get_target(config.target))
-    result.pass_reports["strip"] = {
+    report.pass_reports["strip"] = {
         "functions_removed": stats.functions_removed,
         "bytes_removed": stats.bytes_removed,
         "per_module": {name: dict(counts)
                        for name, counts in stats.per_module.items()},
     }
-    _note_strip_stats(result, config, report)
-    metrics = obs_trace.metrics()
-    if metrics.enabled:
-        metrics.set_gauge("strip.functions_removed", stats.functions_removed)
-        metrics.set_gauge("strip.bytes_removed", stats.bytes_removed)
-        metrics.set_gauge("strip.modules_touched", len(stats.per_module))
 
 
 def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
@@ -250,11 +212,8 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
     and only re-link.
     """
     registry = registry or TypeRegistry()
-    report = report if report is not None else BuildReport(
-        num_modules=len(lir_modules), target=str(config.target))
-    if not report.target:
-        report.target = str(config.target)
-    report.merge_mode = config.merge_mode
+    report = report if report is not None else _slice_report(
+        BuildReport(num_modules=len(lir_modules)), config)
     entry = None
     for module in lir_modules:
         if module.entry_symbol:
@@ -274,8 +233,7 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                                   scope="wholeprogram").run(merged)
             for name in ("inliner", "mergefunctions", "fmsa", "optmerge"):
                 if name in reports:
-                    result.pass_reports[name] = reports[name]
-            _note_merge_stats(result, config, report)
+                    report.pass_reports[name] = reports[name]
         result.phase_work["llvm-link"] = merged.num_instrs
         result.phase_work["opt"] = merged.num_instrs
         # llc lowers the pre-outlining program; record its work before the
@@ -323,11 +281,10 @@ def build_lir_modules(lir_modules: List[lir_ir.LIRModule],
                     merge_reports[i] = PassManager(
                         merge_stack, scope="module").run(lir_modules[i])
         for name, _ in merge_stack:
-            agg = result.pass_reports[name] = {}
+            agg = report.pass_reports[name] = {}
             for i in range(n):
                 for key, value in merge_reports[i][name].items():
                     agg[key] = agg.get(key, 0) + value
-        _note_merge_stats(result, config, report)
         checkpoint(config.cancel_scope, "llc")
         with report.phase("llc"):
             outputs = parallel.llc_modules(miss_modules, config, report)
@@ -619,18 +576,6 @@ def build_program(sources: SourceModules,
     return build_targets(sources, [config.target], config)[config.target]
 
 
-def _record_size_metrics(result: BuildResult) -> None:
-    metrics = obs_trace.metrics()
-    if not metrics.enabled:
-        return
-    sizes = result.sizes
-    metrics.set_gauge("image.text_bytes", sizes.text_bytes)
-    metrics.set_gauge("image.data_bytes", sizes.data_bytes)
-    metrics.set_gauge("image.binary_bytes", sizes.binary_bytes)
-    metrics.set_gauge("image.num_functions", sizes.num_functions)
-    metrics.set_gauge("image.num_instrs", sizes.num_instrs)
-
-
 def _open_cache(config: BuildConfig) -> Optional[ModuleCache]:
     return (ModuleCache(config.cache_dir, fault_plan=config.fault_plan)
             if config.incremental else None)
@@ -647,8 +592,7 @@ def _slice_report(frontend: BuildReport, config: BuildConfig) -> BuildReport:
     report = BuildReport.from_dict(frontend.as_dict())
     report.target = str(config.target)
     report.merge_mode = config.merge_mode
-    report.workers = parallel.resolve_workers(config.workers)
-    report.cache_enabled = config.incremental
+    report.strip_mode = config.strip
     return report
 
 
@@ -692,22 +636,16 @@ def _image_cache_probe(items: List[Tuple[str, str]], frontend: BuildReport,
     # construction.
     report.cache_hits = report.num_modules
     report.cache_misses = 0
+    report.pass_reports = entry.get("pass_reports", {})
     registry = TypeRegistry()
     for layout in entry["layouts"]:
         registry.register(layout)
-    _note_cache_recoveries(cache, report)
-    _record_cache_metrics(cache, report)
-    cached_result = BuildResult(
+    return _end_slice(BuildResult(
         image=entry["image"], registry=registry, config=config,
         machine_listing=_uncached_listing(items, config),
         outline_stats=entry.get("outline_stats", []),
-        pass_reports=entry.get("pass_reports", {}),
         phase_work=entry.get("phase_work", {}),
-        report=report)
-    _note_merge_stats(cached_result, config, report)
-    _note_strip_stats(cached_result, config, report)
-    _record_size_metrics(cached_result)
-    return cached_result
+        report=report), cache)
 
 
 def _finish_slice(artifact: "ProgramArtifact",
@@ -716,8 +654,8 @@ def _finish_slice(artifact: "ProgramArtifact",
                   img_key: Optional[str]) -> BuildResult:
     """One target's back half over *lir_modules*, which it consumes in
     place: target LIR passes, isel/regalloc via llc, outlining, strip,
-    layout and link, then verify, the image-cache store and the size
-    metrics."""
+    layout and link, then verify, the image-cache store and
+    :func:`_end_slice`."""
     report = _slice_report(artifact.frontend_report, config)
     with obs_trace.span("backend", kind="build", target=config.target):
         result = build_lir_modules(lir_modules, config,
@@ -731,7 +669,7 @@ def _finish_slice(artifact: "ProgramArtifact",
                 cache.store(img_key, {
                     "image": result.image,
                     "outline_stats": result.outline_stats,
-                    "pass_reports": result.pass_reports,
+                    "pass_reports": report.pass_reports,
                     "phase_work": result.phase_work,
                     # Class layouts ride along so an image hit can rebuild
                     # the runtime TypeRegistry without touching module
@@ -740,10 +678,50 @@ def _finish_slice(artifact: "ProgramArtifact",
                                       key=lambda lo: lo.type_id),
                 })
             report.cache_stores = cache.stats.stores
-        if cache is not None:
-            _note_cache_recoveries(cache, report)
-        _record_cache_metrics(cache, report)
-    _record_size_metrics(result)
+        return _end_slice(result, cache)
+
+
+def _end_slice(result: BuildResult,
+               cache: Optional[ModuleCache]) -> BuildResult:
+    """How every slice ends, image hit or built: the cache's recoveries
+    become degradations on its report, and the build's gauges are
+    published from the report, the image and the cache's
+    :class:`~repro.pipeline.cache.CacheStats` (all-zero when caching is
+    off, so the metric set is stable)."""
+    report = result.report
+    stats = cache.stats if cache is not None else cache_mod.CacheStats()
+    if stats.quarantined:
+        report.degrade("cache-quarantine", phase="cache",
+                       detail=f"{stats.quarantined} corrupt entr"
+                              f"{'y' if stats.quarantined == 1 else 'ies'} "
+                              f"quarantined")
+    if stats.errors > stats.quarantined or stats.torn_writes:
+        failed = stats.errors - stats.quarantined + stats.torn_writes
+        report.degrade("cache-store-failed", phase="cache",
+                       detail=f"{failed} cache operation(s) did not "
+                              f"complete; entries will be rebuilt")
+    metrics = obs_trace.metrics()
+    if not metrics.enabled:
+        return result
+    gauges = {f"cache.{name}": value for name, value in asdict(stats).items()}
+    gauges.update({
+        "cache.enabled": int(cache is not None),
+        "cache.image_hit": int(report.image_cache_hit),
+        "cache.fn_hits": report.fn_cache_hits,
+        "cache.fn_misses": report.fn_cache_misses,
+        "cache.llc_hits": report.llc_cache_hits,
+        "cache.llc_misses": report.llc_cache_misses,
+        "build.functions_recompiled": report.functions_recompiled,
+    })
+    gauges.update((f"image.{name}", getattr(result.sizes, name))
+                  for name in ("text_bytes", "data_bytes", "binary_bytes",
+                               "num_functions", "num_instrs"))
+    if "strip" in report.pass_reports:
+        gauges.update({"strip.functions_removed": report.stripped_functions,
+                       "strip.bytes_removed": report.stripped_bytes,
+                       "strip.modules_touched": len(report.strip_stats)})
+    for name, value in gauges.items():
+        metrics.set_gauge(name, value)
     return result
 
 
@@ -872,48 +850,6 @@ def build_targets(sources: SourceModules,
                     results[name].report.note(
                         f"frontend shared with target {pending[0]}")
     return {name: results[name] for name in configs}
-
-
-def _record_cache_metrics(cache: Optional[ModuleCache],
-                          report: BuildReport) -> None:
-    """Fold the cache's own :class:`CacheStats` into the build metrics
-    (all-zero when caching is off, so the metric set is stable)."""
-    metrics = obs_trace.metrics()
-    if not metrics.enabled:
-        return
-    stats = cache.stats if cache is not None else cache_mod.CacheStats()
-    metrics.set_gauge("cache.enabled", int(cache is not None))
-    metrics.set_gauge("cache.hits", stats.hits)
-    metrics.set_gauge("cache.misses", stats.misses)
-    metrics.set_gauge("cache.stores", stats.stores)
-    metrics.set_gauge("cache.errors", stats.errors)
-    metrics.set_gauge("cache.quarantined", stats.quarantined)
-    metrics.set_gauge("cache.torn_writes", stats.torn_writes)
-    metrics.set_gauge("cache.lock_failures", stats.lock_failures)
-    metrics.set_gauge("cache.evictions", stats.evictions)
-    metrics.set_gauge("cache.evicted_bytes", stats.evicted_bytes)
-    metrics.set_gauge("cache.quarantine_reclaimed", stats.quarantine_reclaimed)
-    metrics.set_gauge("cache.image_hit", int(report.image_cache_hit))
-    metrics.set_gauge("cache.fn_hits", report.fn_cache_hits)
-    metrics.set_gauge("cache.fn_misses", report.fn_cache_misses)
-    metrics.set_gauge("cache.llc_hits", report.llc_cache_hits)
-    metrics.set_gauge("cache.llc_misses", report.llc_cache_misses)
-    metrics.set_gauge("build.functions_recompiled",
-                      report.functions_recompiled)
-
-
-def _note_cache_recoveries(cache: ModuleCache, report: BuildReport) -> None:
-    stats = cache.stats
-    if stats.quarantined:
-        report.degrade("cache-quarantine", phase="cache",
-                       detail=f"{stats.quarantined} corrupt entr"
-                              f"{'y' if stats.quarantined == 1 else 'ies'} "
-                              f"quarantined")
-    if stats.errors > stats.quarantined or stats.torn_writes:
-        failed = stats.errors - stats.quarantined + stats.torn_writes
-        report.degrade("cache-store-failed", phase="cache",
-                       detail=f"{failed} cache operation(s) did not "
-                              f"complete; entries will be rebuilt")
 
 
 def run_build(result: BuildResult, timing=None, entry_symbol=None,

@@ -54,11 +54,6 @@ class CancelScope:
                 self._reason = reason
 
     @property
-    def cancelled(self) -> bool:
-        with self._lock:
-            return self._cancelled
-
-    @property
     def deadline_expired(self) -> bool:
         return (self._deadline is not None
                 and time.monotonic() >= self._deadline)

@@ -36,7 +36,8 @@ type, so a bool is not an int.  ``BuildConfig(...)``,
 :meth:`BuildConfig.preset` and ``dataclasses.replace`` check all of them
 on construction and raise :class:`~repro.errors.ConfigError` naming the
 field, the value and what is legal, before any build work, journal
-record or cache entry exists.  A target name is checked as a string
+record or cache entry exists.  A config is frozen, so no value reaches
+a build without that check.  A target name is checked as a string
 only: whether it is registered is the build's question.
 """
 
@@ -138,7 +139,7 @@ def _profile_key(path: Optional[str]) -> str:
 
 
 @_partitioned
-@dataclass
+@dataclass(frozen=True)
 class BuildConfig:
     """Options shared by the default and whole-program pipelines.
 

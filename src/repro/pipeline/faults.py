@@ -20,7 +20,7 @@ serial re-run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
 #: Fault kinds a plan can inject, with the rate field controlling each.
@@ -123,10 +123,6 @@ class FaultPlan:
             field_name, convert = cls._PARSE_KEYS[key]
             kwargs[field_name] = convert(value)
         return cls(**kwargs)  # type: ignore[arg-type]
-
-    def scaled(self, **overrides: object) -> "FaultPlan":
-        """Copy with fields replaced (convenience for test matrices)."""
-        return replace(self, **overrides)  # type: ignore[arg-type]
 
 
 def describe(plan: Optional[FaultPlan]) -> str:

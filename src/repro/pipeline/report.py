@@ -1,4 +1,5 @@
-"""Per-build bookkeeping: phase wall clocks and cache/parallel telemetry.
+"""Per-build bookkeeping: phase wall clocks, pass reports and
+cache/parallel telemetry.
 
 Every :func:`repro.pipeline.build_program` call fills in a
 :class:`BuildReport`; experiments use it to put *measured* seconds next to
@@ -10,10 +11,21 @@ meaningful relative to each other — cold vs warm, serial vs parallel).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, Iterator, List
 
 from repro.obs import trace as obs_trace
+
+#: merge_mode -> the pass that implements it, whose pass report is the
+#: build's merge summary.
+MERGE_PASSES = {"exact": "mergefunctions", "optimistic": "optmerge"}
+
+
+def _known_fields(cls, data: Dict[str, object]) -> Dict[str, object]:
+    """The entries of *data* that name a field of dataclass *cls*: an
+    unknown key is dropped, and a missing one leaves its field's default."""
+    names = {f.name for f in fields(cls)}
+    return {key: value for key, value in data.items() if key in names}
 
 
 @dataclass
@@ -46,18 +58,10 @@ class DegradationEvent:
         detail = f": {self.detail}" if self.detail else ""
         return f"{self.kind}{where}{attempt}{detail}"
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "phase": self.phase,
-                "detail": self.detail, "chunk": self.chunk,
-                "attempt": self.attempt}
-
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DegradationEvent":
-        return cls(kind=str(data.get("kind", "")),
-                   phase=str(data.get("phase", "")),
-                   detail=str(data.get("detail", "")),
-                   chunk=int(data.get("chunk", -1)),
-                   attempt=int(data.get("attempt", 0)))
+        """Rebuild an event from its ``dataclasses.asdict`` form."""
+        return cls(**_known_fields(cls, data))
 
 
 @dataclass
@@ -70,17 +74,12 @@ class BuildReport:
     target: str = ""
     #: Whole-program function-merging mode ("off"/"exact"/"optimistic").
     merge_mode: str = "off"
-    #: Merge-stage pass report (empty when ``merge_mode`` is "off"):
-    #: functions_merged / thunks_created / bytes_saved / ...
-    merge_stats: Dict[str, int] = field(default_factory=dict)
     #: Link-time whole-program stripping mode ("off"/"program").
     strip_mode: str = "off"
-    #: Totals removed by link-time stripping (0 when ``strip`` is off).
-    stripped_functions: int = 0
-    stripped_bytes: int = 0
-    #: Per-module strip outcomes: module -> {"functions": n, "bytes": b}
-    #: (only modules that lost at least one function appear).
-    strip_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
+    #: Baseline-pass observations (Table I): pass name -> metric dict,
+    #: each written once by its pass; ``merge_stats`` and the strip totals
+    #: are read-only views of it.
+    pass_reports: Dict[str, dict] = field(default_factory=dict)
     #: Worker processes used for the parallel frontend (1 = serial).
     workers: int = 1
     #: Whether the content-addressed cache was consulted.
@@ -139,6 +138,28 @@ class BuildReport:
     def total_wall(self) -> float:
         return sum(self.phase_wall.values())
 
+    @property
+    def merge_stats(self) -> Dict[str, int]:
+        """The merge pass's report (empty when ``merge_mode`` is "off"):
+        functions_merged / thunks_created / bytes_saved / ..."""
+        return self.pass_reports.get(MERGE_PASSES.get(self.merge_mode), {})
+
+    @property
+    def stripped_functions(self) -> int:
+        """Functions removed by link-time stripping (0 when it is off)."""
+        return self.pass_reports.get("strip", {}).get("functions_removed", 0)
+
+    @property
+    def stripped_bytes(self) -> int:
+        """Bytes removed by link-time stripping (0 when it is off)."""
+        return self.pass_reports.get("strip", {}).get("bytes_removed", 0)
+
+    @property
+    def strip_stats(self) -> Dict[str, Dict[str, int]]:
+        """Per-module strip outcomes: module -> {"functions": n, "bytes":
+        b} (only modules that lost at least one function appear)."""
+        return self.pass_reports.get("strip", {}).get("per_module", {})
+
     def note(self, message: str) -> None:
         self.notes.append(message)
 
@@ -161,69 +182,20 @@ class BuildReport:
         return event
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-safe dump, complete enough for the daemon to ship a job's
-        report over the wire and the client to re-render
-        :meth:`summary_lines` verbatim (same ``degraded:`` lines the
-        one-shot CLI prints)."""
-        return {
-            "num_modules": self.num_modules,
-            "target": self.target,
-            "merge_mode": self.merge_mode,
-            "merge_stats": dict(self.merge_stats),
-            "strip_mode": self.strip_mode,
-            "stripped_functions": self.stripped_functions,
-            "stripped_bytes": self.stripped_bytes,
-            "strip_stats": {name: dict(counts)
-                            for name, counts in self.strip_stats.items()},
-            "workers": self.workers,
-            "cache_enabled": self.cache_enabled,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_stores": self.cache_stores,
-            "fn_cache_hits": self.fn_cache_hits,
-            "fn_cache_misses": self.fn_cache_misses,
-            "functions_recompiled": self.functions_recompiled,
-            "llc_cache_hits": self.llc_cache_hits,
-            "llc_cache_misses": self.llc_cache_misses,
-            "image_cache_hit": self.image_cache_hit,
-            "phase_wall": dict(self.phase_wall),
-            "notes": list(self.notes),
-            "degradations": [d.as_dict() for d in self.degradations],
-        }
+        """JSON-safe dump of every field, complete enough for the daemon
+        to journal a job's report and ship it over the wire, and for the
+        client to re-render :meth:`summary_lines` verbatim (the same
+        ``degraded:`` lines the one-shot CLI prints)."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "BuildReport":
-        """Rebuild a report from :meth:`as_dict` output (wire payloads
-        from older/newer daemons may omit fields; defaults fill in)."""
-        report = cls(
-            num_modules=int(data.get("num_modules", 0)),
-            target=str(data.get("target", "")),
-            merge_mode=str(data.get("merge_mode", "off")),
-            merge_stats=dict(data.get("merge_stats") or {}),
-            strip_mode=str(data.get("strip_mode", "off")),
-            stripped_functions=int(data.get("stripped_functions", 0)),
-            stripped_bytes=int(data.get("stripped_bytes", 0)),
-            strip_stats={str(name): {str(k): int(v)
-                                     for k, v in (counts or {}).items()}
-                         for name, counts in
-                         (data.get("strip_stats") or {}).items()},
-            workers=int(data.get("workers", 1)),
-            cache_enabled=bool(data.get("cache_enabled", False)),
-            cache_hits=int(data.get("cache_hits", 0)),
-            cache_misses=int(data.get("cache_misses", 0)),
-            cache_stores=int(data.get("cache_stores", 0)),
-            fn_cache_hits=int(data.get("fn_cache_hits", 0)),
-            fn_cache_misses=int(data.get("fn_cache_misses", 0)),
-            functions_recompiled=int(data.get("functions_recompiled", 0)),
-            llc_cache_hits=int(data.get("llc_cache_hits", 0)),
-            llc_cache_misses=int(data.get("llc_cache_misses", 0)),
-            image_cache_hit=bool(data.get("image_cache_hit", False)),
-            phase_wall={str(k): float(v) for k, v in
-                        (data.get("phase_wall") or {}).items()},
-            notes=[str(n) for n in (data.get("notes") or [])],
-        )
-        report.degradations = [DegradationEvent.from_dict(d)
-                               for d in (data.get("degradations") or [])]
+        """Rebuild a report from :meth:`as_dict` output (a payload from an
+        older or newer daemon may lack a field, which takes its default,
+        or carry one this report lacks, which is dropped)."""
+        report = cls(**_known_fields(cls, data))
+        report.degradations = [DegradationEvent.from_dict(event)
+                               for event in report.degradations]
         return report
 
     def summary_lines(self) -> List[str]:

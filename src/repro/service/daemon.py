@@ -45,7 +45,7 @@ import queue
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional
 
 from repro.errors import (
@@ -60,6 +60,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.build import build_program
 from repro.pipeline.cache import ModuleCache
 from repro.pipeline.cancel import CancelScope
+from repro.pipeline.config import BuildConfig
 from repro.pipeline.faults import FaultPlan
 from repro.service.journal import JobJournal
 from repro.service.protocol import (
@@ -225,19 +226,30 @@ class BuildService:
     """The daemon's engine, importable and testable without a socket.
 
     ``start()`` recovers the journal and launches executors; the socket
-    layer (:meth:`start_server` / :meth:`run`) is a thin wire adapter on
-    top of :meth:`handle_request`.  Tests drive admission, deadlines,
-    recovery and the breaker directly through these methods.
+    layer (:meth:`start_server`) is a thin wire adapter on top of
+    :meth:`handle_request`.  Tests drive admission, deadlines, recovery
+    and the breaker directly through these methods.
     """
 
     def __init__(self, config: ServiceConfig):
         self.config = config
+        self.cache_dir = config.resolved_cache_dir()
+        #: The daemon's own build settings, which every job's config takes
+        #: over its wire config.  Checked here, once, so a bad one is a
+        #: ConfigError before any job is admitted or journaled.
+        self._build_settings = dict(
+            workers=config.build_workers, incremental=config.incremental,
+            # Back-to-back jobs reuse one forked worker pool instead of
+            # paying a pool spawn per job; a crashed pool is retired and
+            # the next job forks a fresh one.
+            persistent_workers=True, cache_dir=self.cache_dir,
+            chunk_timeout=config.chunk_timeout, fault_plan=config.fault_plan)
+        BuildConfig(**self._build_settings)
         os.makedirs(config.state_dir, exist_ok=True)
         #: Shared secret for the wire layer: published only through the
         #: 0600 endpoint file, so socket access is bounded by state-dir
         #: file permissions (the TCP port alone grants nothing).
         self.auth_token = uuid.uuid4().hex
-        self.cache_dir = config.resolved_cache_dir()
         self.journal = JobJournal(
             os.path.join(config.state_dir, "journal.jsonl"),
             fault_plan=config.fault_plan)
@@ -480,25 +492,14 @@ class BuildService:
             self._update_depth_gauge()
 
     def _build_config_for(self, job: JobState,
-                          breaker_open: bool):
-        config = config_from_wire(job.wire_config)
+                          breaker_open: bool) -> BuildConfig:
+        settings = dict(self._build_settings, cancel_scope=job.scope)
         if breaker_open:
             # Serial-uncached: the always-correct slow path — no forked
             # workers to crash, no cache entries to corrupt or tear.
-            config.workers = 1
-            config.incremental = False
-        else:
-            config.workers = self.config.build_workers
-            config.incremental = self.config.incremental
-            # Back-to-back jobs reuse one forked worker pool instead of
-            # paying a pool spawn per job; a crashed pool is retired and
-            # the next job forks a fresh one.
-            config.persistent_workers = True
-        config.cache_dir = self.cache_dir
-        config.chunk_timeout = self.config.chunk_timeout
-        config.fault_plan = self.config.fault_plan
-        config.cancel_scope = job.scope
-        return config
+            settings.update(workers=1, incremental=False,
+                            persistent_workers=False)
+        return replace(config_from_wire(job.wire_config), **settings)
 
     def _run_job(self, job: JobState) -> None:
         start = time.monotonic()
@@ -748,16 +749,3 @@ class BuildService:
             json.dump({"host": host, "port": port, "pid": os.getpid(),
                        "token": self.auth_token}, fh)
         os.replace(tmp, path)
-
-    def run(self, host: str = "127.0.0.1", port: int = 0,
-            poll: float = 0.2) -> Dict[str, object]:
-        """Blocking serve loop: start the socket, wait for a drain
-        request (signal handler or ``drain`` frame), then drain and
-        return the typed summary."""
-        self.start_server(host, port)
-        try:
-            while not self._draining.is_set():
-                time.sleep(poll)
-        finally:
-            self.stop_server()
-        return self.drain()

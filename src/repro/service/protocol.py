@@ -151,7 +151,8 @@ def config_from_wire(data: Optional[Dict[str, object]]) -> BuildConfig:
     a :class:`~repro.errors.ConfigError` for a value of a wrong type or
     outside the field's legal values."""
     data = data or {}
-    unknown = sorted(set(data) - set(CONFIG_WIRE_FIELDS))
+    # Rendered as strings: an in-process caller's key need not be one.
+    unknown = sorted(map(str, set(data) - set(CONFIG_WIRE_FIELDS)))
     if unknown:
         raise ServiceError(
             f"unknown build-config field(s) on the wire: "

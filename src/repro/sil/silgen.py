@@ -92,7 +92,6 @@ class ModuleSILGen:
         self.program = program
         self.sil_module = sil.SILModule(name=module.name)
         self._thunks: Dict[str, str] = {}
-        self._closure_count = 0
 
     def run(self) -> sil.SILModule:
         for gbl in self.module.globals:

@@ -3,7 +3,7 @@ the interpreter, check exact output and zero leaks."""
 
 import pytest
 
-from repro.errors import SimulationError, TrapError
+from repro.errors import TrapError
 from repro.pipeline import BuildConfig, build_program, run_build
 
 

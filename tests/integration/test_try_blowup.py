@@ -9,7 +9,6 @@ success and failure paths.
 
 from repro.frontend.parser import parse_module
 from repro.frontend.sema import analyze_program
-from repro.lir import ir
 from repro.lir.passes import constprop, dce, mem2reg, simplifycfg
 from repro.lir.irgen import generate_lir
 from repro.pipeline import BuildConfig, build_program, run_build

@@ -154,7 +154,7 @@ def apply_edit(program: Dict[str, Mod], edit) -> str:
 
 def _artifact(result):
     return (result.image.text_section(), result.image.data_section(),
-            result.outline_stats, result.pass_reports)
+            result.outline_stats, result.report.pass_reports)
 
 
 _EDITS = st.lists(st.tuples(st.sampled_from(EDIT_KINDS),

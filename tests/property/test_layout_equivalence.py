@@ -20,7 +20,6 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.errors import LinkError
 from repro.link.verify import verify_image
 from repro.pipeline import BuildConfig
 from repro.sim.profile import LayoutProfile, ProfileCollector

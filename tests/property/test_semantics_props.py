@@ -5,7 +5,7 @@ whole pipeline agrees with a Python oracle on integer expression programs.
 
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.isa.instructions import MachineInstr, Opcode, materialize_constant
+from repro.isa.instructions import Opcode, materialize_constant
 from repro.pipeline import BuildConfig, build_program, run_build
 
 _INT_MASK = (1 << 64) - 1

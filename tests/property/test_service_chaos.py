@@ -26,7 +26,7 @@ import pytest
 
 from repro import errors as errors_mod
 from repro.errors import ProtocolError, QueueFullError, ReproError
-from repro.pipeline import BuildConfig, build_program
+from repro.pipeline import build_program
 from repro.pipeline.faults import FaultPlan
 from repro.service import BuildService, ServiceClient, ServiceConfig
 from repro.service.protocol import config_from_wire, image_summary

@@ -11,7 +11,7 @@ instructions, and the block-boundary separators.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.isa.instructions import MachineFunction, MachineInstr, Opcode, Sym
+from repro.isa.instructions import MachineFunction, MachineInstr, Opcode
 from repro.outliner.candidates import InstructionMapper
 from repro.outliner.suffix_tree import SuffixTree, naive_repeated_substrings
 

@@ -1,7 +1,5 @@
 """Analysis module tests: fits and distributions."""
 
-import math
-
 import pytest
 
 from repro.analysis.distributions import (

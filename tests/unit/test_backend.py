@@ -1,17 +1,11 @@
 """Backend tests: isel patterns, register allocation, frame lowering."""
 
-from repro.backend.frame import lower_frame
 from repro.backend.isel import select_function
 from repro.backend.liveness import block_liveness, compute_intervals
 from repro.backend.llc import compile_function
 from repro.backend.regalloc import allocate_function
 from repro.isa.instructions import Opcode
-from repro.isa.registers import (
-    ALLOCATABLE_FPRS,
-    ALLOCATABLE_GPRS,
-    CALLEE_SAVED_GPRS,
-)
-from repro.lir import ir
+from repro.isa.registers import CALLEE_SAVED_GPRS
 from repro.pipeline import build_program, compile_frontend
 
 

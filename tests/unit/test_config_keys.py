@@ -99,7 +99,7 @@ def _artifact(result):
     """Everything the image cache entry stores about the binary."""
     image = result.image
     return (image.text_section(), image.data_section(),
-            result.outline_stats, result.pass_reports)
+            result.outline_stats, result.report.pass_reports)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +152,7 @@ def test_tables_cover_every_field():
 def test_untagged_field_fails_at_import():
     untagged = dataclasses.make_dataclass(
         "Untagged", [("knob", int, dataclasses.field(default=0))],
-        bases=(BuildConfig,))
+        bases=(BuildConfig,), frozen=True)
     with pytest.raises(TypeError, match="knob"):
         config_mod._partitioned(untagged)
 

@@ -77,6 +77,14 @@ def test_every_legal_value_constructs():
                 cache_dir=None, profile_path=None, target="riscv")
 
 
+def test_config_is_frozen():
+    """A config is a value, so no field changes after the check ran."""
+    config = BuildConfig()
+    for f in dataclasses.fields(BuildConfig):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, f.name, getattr(config, f.name))
+
+
 def test_cli_choices_are_the_config_choices():
     parser = argparse.ArgumentParser()
     _add_image_args(parser)

@@ -6,7 +6,6 @@ from repro.errors import SimulationError, TrapError
 from repro.isa.instructions import (
     Cond,
     Label,
-    MachineBlock,
     MachineFunction,
     MachineInstr,
     MachineModule,
@@ -15,7 +14,7 @@ from repro.isa.instructions import (
     materialize_constant,
 )
 from repro.link.linker import link_binary
-from repro.sim.cpu import CPU, run_binary
+from repro.sim.cpu import CPU
 
 
 def mi(opcode, *operands, **kw):

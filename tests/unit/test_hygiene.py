@@ -1,4 +1,5 @@
-"""No module under ``src/repro`` imports a name it never reads.
+"""No module under ``src/repro``, ``tests``, ``benchmarks`` or ``examples``
+imports a name it never reads.
 
 An unread import is dead code that still runs: it costs import time in
 every process, including each forked worker, and it hides which layer
@@ -7,7 +8,9 @@ imported name that no expression (or string annotation) in the module
 reads.  Exempt are ``__init__.py`` files, whose imports are the package's
 re-exports, names listed in ``__all__``, and imports marked
 ``# noqa: F401``, which are made for their side effect (the daemon
-imports the compiler before it forks workers).
+imports the compiler before it forks workers).  ``perfbench`` is left
+out: it is the benchmark harness, whose files change only together with
+the benchmark's definition.
 
 Stdlib only, so it also runs without the package's dependencies:
 
@@ -18,7 +21,10 @@ import ast
 import pathlib
 import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+ROOT = pathlib.Path(__file__).resolve().parents[2]
+
+#: The trees the scan covers, relative to the repository root.
+SCANNED = ("src/repro", "tests", "benchmarks", "examples")
 
 
 def _annotations(tree):
@@ -66,8 +72,9 @@ def unused_imports(path):
 
 
 def findings():
-    return [f"{path.relative_to(SRC.parent)}:{line}: {name}"
-            for path in sorted(SRC.rglob("*.py"))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for tree in SCANNED
+            for path in sorted((ROOT / tree).rglob("*.py"))
             if path.name != "__init__.py"
             for line, name in unused_imports(path)]
 

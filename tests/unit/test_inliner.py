@@ -118,7 +118,7 @@ func main() {
         on = run_build(on_build)
         assert off.output == on.output
         assert on.leaked == []
-        assert on_build.pass_reports["inliner"]["sites_inlined"] >= 1
+        assert on_build.report.pass_reports["inliner"]["sites_inlined"] >= 1
 
     def test_inliner_with_outlining_equivalence(self):
         configs = [

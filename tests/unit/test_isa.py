@@ -5,7 +5,6 @@ import pytest
 from repro.isa.instructions import (
     Cond,
     Label,
-    MachineBlock,
     MachineFunction,
     MachineInstr,
     MachineModule,

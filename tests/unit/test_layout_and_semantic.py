@@ -1,7 +1,7 @@
 """Outlined-code layout (future-work #3) and semantic headroom (#1) tests."""
 
 from repro.analysis.semantic import measure_headroom
-from repro.isa.instructions import MachineFunction, MachineInstr, Opcode, Sym
+from repro.isa.instructions import MachineFunction, MachineInstr, Opcode
 from repro.isa.registers import FP, LR, SP
 from repro.pipeline import BuildConfig, build_program, run_build
 from repro.target.arm64 import ARM64

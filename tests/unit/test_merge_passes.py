@@ -132,7 +132,7 @@ func main() { print(dup1(x: 3) + dup2(x: 4)) }
         merged_build, merged = build_and_run(source, BuildConfig(
             merge_mode="exact"))
         assert plain.output == merged.output == ["27"]
-        assert merged_build.pass_reports["mergefunctions"][
+        assert merged_build.report.pass_reports["mergefunctions"][
             "functions_merged"] >= 1
 
 

@@ -4,11 +4,8 @@ repeated rounds, statistics pass."""
 import copy
 import itertools
 
-import pytest
-
 from repro.isa.instructions import (
     Label,
-    MachineBlock,
     MachineFunction,
     MachineInstr,
     Opcode,

@@ -9,10 +9,8 @@ from repro.frontend.types import (
     BOOL,
     DOUBLE,
     INT,
-    STRING,
     VOID,
     ArrayType,
-    ClassType,
     FuncType,
 )
 

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import SemaError
 from repro.frontend.parser import parse_module
 from repro.frontend.sema import analyze_program
-from repro.frontend.types import INT, ArrayType, ClassType, FuncType
 from repro.runtime.layout import FIRST_CLASS_TYPE_ID, MAX_CLASS_TYPE_ID
 
 

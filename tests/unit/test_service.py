@@ -274,6 +274,26 @@ class TestAdmission:
             service.submit_job(SOURCES, wire_config={"cache_dir": "/x"})
         assert service._queue.qsize() == 0
 
+    def test_non_string_config_key_is_a_typed_rejection(self, tmp_path):
+        """An in-process caller's key need not be a string: it is named in
+        the typed rejection, and nothing is journaled."""
+        with pytest.raises(ServiceError, match="on the wire: 1 "):
+            config_from_wire({1: 2})
+        service = BuildService(_service_config(tmp_path))
+        with pytest.raises(ServiceError, match="unknown build-config"):
+            service.submit_job(SOURCES, {1: 2})
+        assert JobJournal(service.journal.path).replay().jobs == {}
+
+    def test_bad_build_setting_fails_when_the_service_is_made(self,
+                                                              tmp_path):
+        """The daemon's own build settings are checked once, when the
+        service is made: a malformed one is a typed ConfigError before any
+        job is admitted, built or journaled."""
+        with pytest.raises(ConfigError, match="chunk_timeout"):
+            BuildService(_service_config(tmp_path, build_workers=2,
+                                         chunk_timeout="x"))
+        assert not (tmp_path / "state").exists()
+
     def test_bad_sources_rejected(self, tmp_path):
         service = BuildService(_service_config(tmp_path))
         with pytest.raises(ServiceError, match="non-empty"):

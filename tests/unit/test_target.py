@@ -20,7 +20,6 @@ from repro.target import (
     get_target,
 )
 from repro.target.arm64 import ARM64
-from repro.target.spec import TargetSpec, WidthModel
 from repro.target.thumb2c import THUMB2C
 
 
