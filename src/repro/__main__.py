@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from typing import Dict, List
 
 from repro.errors import DiagnosticError, ReproError
+from repro.pipeline.faults import spec_keys
 
 
 def _load_sources(paths: List[str]) -> Dict[str, str]:
@@ -465,8 +466,8 @@ def _add_build_args(parser) -> None:
                              "retrying/degrading (for CI)")
     parser.add_argument("--inject-faults", default=None, metavar="SPEC",
                         help="seeded fault injection, e.g. "
-                             "'seed=7,crash=0.3,corrupt=1' (keys: seed, "
-                             "crash, hang, pickle, corrupt, torn, nofork)")
+                             "'seed=7,crash=0.3,corrupt=1' (keys: "
+                             f"{spec_keys(service=False)})")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write a Chrome trace_event JSON of the build "
                              "(load in chrome://tracing or Perfetto)")
@@ -566,8 +567,7 @@ def main(argv=None) -> int:
                               "after every job")
     p_serve.add_argument("--inject-faults", default=None, metavar="SPEC",
                          help="seeded service+pipeline fault injection "
-                              "(adds keys: disconnect, jtorn, deadline, "
-                              "sigterm)")
+                              f"(keys: {spec_keys(service=True)})")
     p_serve.set_defaults(func=cmd_serve)
 
     def _add_client_args(p) -> None:

@@ -490,7 +490,7 @@ def _frontend(items: List[Tuple[str, str]], config: BuildConfig,
                 for silfn, key in fn_key_map[name]:
                     if silfn.symbol not in hits:
                         cache.store(key, by_symbol[silfn.symbol])
-        report.cache_stores = cache.stats.stores
+    _note_cache_work(report, cache)
 
     lir_modules = [cached[name]["lir"] if name in cached else lowered[name]
                    for name in names]
@@ -637,15 +637,15 @@ def _image_cache_probe(items: List[Tuple[str, str]], frontend: BuildReport,
     report.cache_hits = report.num_modules
     report.cache_misses = 0
     report.pass_reports = entry.get("pass_reports", {})
+    _note_cache_work(report, cache)
     registry = TypeRegistry()
     for layout in entry["layouts"]:
         registry.register(layout)
-    return _end_slice(BuildResult(
+    return BuildResult(
         image=entry["image"], registry=registry, config=config,
         machine_listing=_uncached_listing(items, config),
         outline_stats=entry.get("outline_stats", []),
-        phase_work=entry.get("phase_work", {}),
-        report=report), cache)
+        phase_work=entry.get("phase_work", {}), report=report)
 
 
 def _finish_slice(artifact: "ProgramArtifact",
@@ -654,8 +654,8 @@ def _finish_slice(artifact: "ProgramArtifact",
                   img_key: Optional[str]) -> BuildResult:
     """One target's back half over *lir_modules*, which it consumes in
     place: target LIR passes, isel/regalloc via llc, outlining, strip,
-    layout and link, then verify, the image-cache store and
-    :func:`_end_slice`."""
+    layout and link, then verify and the image-cache store; *cache* is
+    the slice's own handle, whose work its report then counts."""
     report = _slice_report(artifact.frontend_report, config)
     with obs_trace.span("backend", kind="build", target=config.target):
         result = build_lir_modules(lir_modules, config,
@@ -677,19 +677,19 @@ def _finish_slice(artifact: "ProgramArtifact",
                     "layouts": sorted(result.registry._classes.values(),
                                       key=lambda lo: lo.type_id),
                 })
-            report.cache_stores = cache.stats.stores
-        return _end_slice(result, cache)
+        _note_cache_work(report, cache)
+        return result
 
 
-def _end_slice(result: BuildResult,
-               cache: Optional[ModuleCache]) -> BuildResult:
-    """How every slice ends, image hit or built: the cache's recoveries
-    become degradations on its report, and the build's gauges are
-    published from the report, the image and the cache's
-    :class:`~repro.pipeline.cache.CacheStats` (all-zero when caching is
-    off, so the metric set is stable)."""
-    report = result.report
-    stats = cache.stats if cache is not None else cache_mod.CacheStats()
+def _note_cache_work(report: BuildReport,
+                     cache: Optional[ModuleCache]) -> None:
+    """Count the stores of *cache*, a handle one unit of the build's work
+    used alone, on *report*, and note its recoveries there as
+    degradations."""
+    if cache is None:
+        return
+    stats = cache.stats
+    report.cache_stores += stats.stores
     if stats.quarantined:
         report.degrade("cache-quarantine", phase="cache",
                        detail=f"{stats.quarantined} corrupt entr"
@@ -700,29 +700,45 @@ def _end_slice(result: BuildResult,
         report.degrade("cache-store-failed", phase="cache",
                        detail=f"{failed} cache operation(s) did not "
                               f"complete; entries will be rebuilt")
+
+
+def _publish_gauges(results: Dict[str, BuildResult], frontend: BuildReport,
+                    caches: List[Optional[ModuleCache]]) -> None:
+    """The build's gauges, published once: ``cache.*`` total every
+    handle's :class:`~repro.pipeline.cache.CacheStats` (all-zero when
+    caching is off, so the metric set is stable), the function-cache
+    counts are the frontend's, and ``image.*``, ``strip.*`` (whenever the
+    strip pass reported), the image hits and the llc cache counts are
+    summed over the slices."""
     metrics = obs_trace.metrics()
     if not metrics.enabled:
-        return result
-    gauges = {f"cache.{name}": value for name, value in asdict(stats).items()}
+        return
+    stats = [asdict(cache.stats) for cache in caches if cache is not None]
+    gauges = {f"cache.{name}": sum(counts[name] for counts in stats)
+              for name in asdict(cache_mod.CacheStats())}
+    reports = [result.report for result in results.values()]
     gauges.update({
-        "cache.enabled": int(cache is not None),
-        "cache.image_hit": int(report.image_cache_hit),
-        "cache.fn_hits": report.fn_cache_hits,
-        "cache.fn_misses": report.fn_cache_misses,
-        "cache.llc_hits": report.llc_cache_hits,
-        "cache.llc_misses": report.llc_cache_misses,
-        "build.functions_recompiled": report.functions_recompiled,
+        "cache.enabled": int(frontend.cache_enabled),
+        "cache.image_hit": sum(r.image_cache_hit for r in reports),
+        "cache.fn_hits": frontend.fn_cache_hits,
+        "cache.fn_misses": frontend.fn_cache_misses,
+        "cache.llc_hits": sum(r.llc_cache_hits for r in reports),
+        "cache.llc_misses": sum(r.llc_cache_misses for r in reports),
+        "build.functions_recompiled": frontend.functions_recompiled,
     })
-    gauges.update((f"image.{name}", getattr(result.sizes, name))
+    gauges.update((f"image.{name}", sum(getattr(result.sizes, name)
+                                        for result in results.values()))
                   for name in ("text_bytes", "data_bytes", "binary_bytes",
                                "num_functions", "num_instrs"))
-    if "strip" in report.pass_reports:
-        gauges.update({"strip.functions_removed": report.stripped_functions,
-                       "strip.bytes_removed": report.stripped_bytes,
-                       "strip.modules_touched": len(report.strip_stats)})
+    if any("strip" in r.pass_reports for r in reports):
+        gauges.update({
+            "strip.functions_removed": sum(r.stripped_functions
+                                           for r in reports),
+            "strip.bytes_removed": sum(r.stripped_bytes for r in reports),
+            "strip.modules_touched": sum(len(r.strip_stats)
+                                         for r in reports)})
     for name, value in gauges.items():
         metrics.set_gauge(name, value)
-    return result
 
 
 # --- the frontend record and app-thinning slicing ---------------------------
@@ -803,12 +819,17 @@ def build_targets(sources: SourceModules,
     of *targets*; all other knobs apply to every slice.
 
     With caching on, each slice probes its own whole-image entry first —
-    a fully warm build never runs the frontend at all.
+    a fully warm build never runs the frontend at all.  The module probe,
+    the frontend and each slice use their own cache handle over the one
+    directory, so each report counts only its own cache work: the probe's
+    and the frontend's go on the frontend report, which every slice
+    report copies, and each slice's on its own.
     """
     config = config or BuildConfig()
     configs = _slice_configs(targets, config)
     items = _items(sources)
-    cache = _open_cache(config)
+    probe_cache, frontend_cache = _open_cache(config), _open_cache(config)
+    slice_caches = {name: _open_cache(config) for name in configs}
     report = _frontend_report(len(items), config)
     results: Dict[str, BuildResult] = {}
     with obs_trace.span("build", kind="build", num_modules=len(items),
@@ -818,24 +839,25 @@ def build_targets(sources: SourceModules,
         checkpoint(config.cancel_scope, "frontend")
         probe = None
         img_keys: Dict[str, str] = {}
-        if cache is not None:
+        if probe_cache is not None:
             # Probe every slice's whole-image entry *before* loading any
             # per-module LIR: the keys need only source hashes and metas
             # (never the target), so a fully warm build costs hashing plus
             # one image load per slice, not O(modules) pickles.
-            probe = _probe_modules(items, config, cache, report)
+            probe = _probe_modules(items, config, probe_cache, report)
+            _note_cache_work(report, probe_cache)
             for name, slice_config in configs.items():
                 img_keys[name] = cache_mod.image_key(
                     probe.keys, slice_config.backend_fingerprint())
-                hit = _image_cache_probe(items, report, slice_config, cache,
-                                         img_keys[name])
+                hit = _image_cache_probe(items, report, slice_config,
+                                         slice_caches[name], img_keys[name])
                 if hit is not None:
                     results[name] = hit
         pending = [name for name in configs if name not in results]
         if pending:
             with obs_trace.span("frontend", kind="build",
                                 num_modules=len(items)):
-                artifact = _frontend(items, config, cache, report,
+                artifact = _frontend(items, config, frontend_cache, report,
                                      probe=probe)
             # Each back half mutates its LIR in place: the later slices get
             # copies taken up front, and the first consumes the originals,
@@ -844,12 +866,16 @@ def build_targets(sources: SourceModules,
                     + [artifact.lir_copy() for _ in pending[1:]])
             for i, name in enumerate(pending):
                 results[name] = _finish_slice(artifact, lirs[i],
-                                              configs[name], cache,
+                                              configs[name],
+                                              slice_caches[name],
                                               img_keys.get(name))
                 if i:
                     results[name].report.note(
                         f"frontend shared with target {pending[0]}")
-    return {name: results[name] for name in configs}
+    results = {name: results[name] for name in configs}
+    _publish_gauges(results, report,
+                    [probe_cache, frontend_cache, *slice_caches.values()])
+    return results
 
 
 def run_build(result: BuildResult, timing=None, entry_symbol=None,

@@ -16,7 +16,9 @@ Two typed outcomes, both subclasses of
 * :class:`~repro.errors.DeadlineExpiredError` — the scope's monotonic
   deadline passed;
 * :class:`~repro.errors.JobCancelledError` — someone called
-  :meth:`CancelScope.cancel` (daemon drain, client abort, breaker trip).
+  :meth:`CancelScope.cancel`.  Nothing in the toolchain does today: the
+  daemon's drain lets running jobs finish, and a client that hangs up
+  leaves its job running; only tests cancel a scope.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from repro.errors import DeadlineExpiredError, JobCancelledError
 class CancelScope:
     """Cancellation token with an optional monotonic deadline.
 
-    Thread-safe: the daemon's drain path cancels scopes owned by executor
-    threads.  ``deadline_seconds`` is relative to construction time.
+    Thread-safe, so another thread may cancel a scope an executor thread
+    is checking.  ``deadline_seconds`` is relative to construction time.
     """
 
     def __init__(self, deadline_seconds: Optional[float] = None,

@@ -20,22 +20,8 @@ serial re-run.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
-from typing import Dict, Optional
-
-#: Fault kinds a plan can inject, with the rate field controlling each.
-FAULT_KINDS = (
-    "worker_crash",      # worker process dies with os._exit mid-chunk
-    "worker_hang",       # worker sleeps past the per-chunk deadline
-    "pickle_failure",    # worker result cannot be pickled back to the parent
-    "cache_corrupt",     # on-disk cache entry bytes are scrambled before load
-    "torn_write",        # cache store crashes before the atomic rename
-    # Service-level sites (evaluated by the build daemon / client):
-    "client_disconnect", # peer socket drops before the response is sent
-    "journal_torn",      # a journal append stops mid-record (no newline)
-    "deadline_expire",   # a job's deadline is forced to zero on admission
-    "sigterm_midphase",  # the daemon begins a graceful drain mid-job
-)
+import math
+from dataclasses import dataclass, field, fields
 
 
 def _unit_interval(seed: int, site: str) -> float:
@@ -44,96 +30,86 @@ def _unit_interval(seed: int, site: str) -> float:
     return int.from_bytes(digest[:8], "big") / float(1 << 64)
 
 
+def _knob(key: str, default, low=-math.inf, high=math.inf, service=False):
+    """A plan field with its ``--inject-faults`` spec key, its legal range,
+    and whether only the build daemon reads it."""
+    return field(default=default, metadata={"key": key, "range": (low, high),
+                                            "service": service})
+
+
+def _rate(key: str, service: bool = False):
+    """The rate of one fault kind: a probability in [0, 1]."""
+    return _knob(key, 0.0, 0.0, 1.0, service)
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded schedule of injected faults (picklable, immutable).
 
-    All ``*_rate`` fields are probabilities in [0, 1] evaluated per site;
-    0 disables the fault class entirely.
+    ``<kind>_rate`` is the probability that fault *kind* hits a site; 0
+    disables it.  Each field declares its spec key and range once, here,
+    and construction rejects a value outside the range.
     """
 
-    seed: int = 0
-    worker_crash_rate: float = 0.0
-    worker_hang_rate: float = 0.0
-    pickle_failure_rate: float = 0.0
-    cache_corrupt_rate: float = 0.0
-    torn_write_rate: float = 0.0
-    client_disconnect_rate: float = 0.0
-    journal_torn_rate: float = 0.0
-    deadline_expire_rate: float = 0.0
-    sigterm_midphase_rate: float = 0.0
+    seed: int = _knob("seed", 0)
+    worker_crash_rate: float = _rate("crash")    # worker os._exit mid-chunk
+    worker_hang_rate: float = _rate("hang")      # sleeps past the deadline
+    pickle_failure_rate: float = _rate("pickle")  # result will not pickle
+    cache_corrupt_rate: float = _rate("corrupt")  # entry scrambled on load
+    torn_write_rate: float = _rate("torn")       # store dies before rename
+    # Service-level sites, evaluated by the build daemon: the reply is
+    # dropped, a journal append stops mid-record, a job's deadline is
+    # forced to zero on admission, a graceful drain begins mid-job.
+    client_disconnect_rate: float = _rate("disconnect", service=True)
+    journal_torn_rate: float = _rate("jtorn", service=True)
+    deadline_expire_rate: float = _rate("deadline", service=True)
+    sigterm_midphase_rate: float = _rate("sigterm", service=True)
     #: Pretend multiprocessing has no "fork" start method.
-    fork_unavailable: bool = False
+    fork_unavailable: bool = _knob("nofork", False)
     #: How long an injected hang sleeps (kept short so tests stay fast,
     #: but longer than any per-chunk deadline a test would configure).
-    hang_seconds: float = 0.5
+    hang_seconds: float = _knob("hangsecs", 0.5, low=0.0)
 
-    _RATE_OF_KIND = {
-        "worker_crash": "worker_crash_rate",
-        "worker_hang": "worker_hang_rate",
-        "pickle_failure": "pickle_failure_rate",
-        "cache_corrupt": "cache_corrupt_rate",
-        "torn_write": "torn_write_rate",
-        "client_disconnect": "client_disconnect_rate",
-        "journal_torn": "journal_torn_rate",
-        "deadline_expire": "deadline_expire_rate",
-        "sigterm_midphase": "sigterm_midphase_rate",
-    }
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            low, high = f.metadata["range"]
+            value = getattr(self, f.name)
+            if not low <= value <= high:
+                raise ValueError(f"fault plan {f.metadata['key']}={value!r} "
+                                 f"is outside [{low:g}, {high:g}]")
 
     def should_fire(self, kind: str, site: str) -> bool:
         """Deterministically decide whether fault ``kind`` hits ``site``."""
-        rate = getattr(self, self._RATE_OF_KIND[kind])
+        rate = getattr(self, f"{kind}_rate")
         if rate <= 0.0:
             return False
         if rate >= 1.0:
             return True
         return _unit_interval(self.seed, f"{kind}:{site}") < rate
 
-    # -- CLI / config parsing -------------------------------------------
-
-    _PARSE_KEYS = {
-        "seed": ("seed", int),
-        "crash": ("worker_crash_rate", float),
-        "hang": ("worker_hang_rate", float),
-        "pickle": ("pickle_failure_rate", float),
-        "corrupt": ("cache_corrupt_rate", float),
-        "torn": ("torn_write_rate", float),
-        "disconnect": ("client_disconnect_rate", float),
-        "jtorn": ("journal_torn_rate", float),
-        "deadline": ("deadline_expire_rate", float),
-        "sigterm": ("sigterm_midphase_rate", float),
-        "nofork": ("fork_unavailable", lambda v: bool(int(v))),
-        "hangsecs": ("hang_seconds", float),
-    }
-
     @classmethod
     def parse(cls, spec: str) -> "FaultPlan":
         """Build a plan from ``"seed=7,crash=0.3,corrupt=1"`` syntax.
 
-        Raises ``ValueError`` on unknown keys or malformed values so the
-        CLI can reject a bad ``--inject-faults`` argument up front.
+        Raises ``ValueError`` on unknown keys or malformed or out-of-range
+        values so the CLI can reject a bad ``--inject-faults`` argument up
+        front.
         """
-        kwargs: Dict[str, object] = {}
+        by_key = {f.metadata["key"]: f for f in fields(cls)}
+        kwargs = {}
         for part in filter(None, (p.strip() for p in spec.split(","))):
             key, sep, value = part.partition("=")
-            if not sep or key not in cls._PARSE_KEYS:
-                known = ", ".join(sorted(cls._PARSE_KEYS))
-                raise ValueError(
-                    f"bad fault spec {part!r} (known keys: {known})")
-            field_name, convert = cls._PARSE_KEYS[key]
-            kwargs[field_name] = convert(value)
-        return cls(**kwargs)  # type: ignore[arg-type]
+            if not sep or key not in by_key:
+                raise ValueError(f"bad fault spec {part!r} (known keys: "
+                                 f"{spec_keys(service=True)})")
+            f = by_key[key]
+            kwargs[f.name] = (bool(int(value)) if isinstance(f.default, bool)
+                              else type(f.default)(value))
+        return cls(**kwargs)
 
 
-def describe(plan: Optional[FaultPlan]) -> str:
-    """One-line human description of a plan ("faults off" when None)."""
-    if plan is None:
-        return "faults off"
-    parts = [f"seed={plan.seed}"]
-    for f in fields(plan):
-        if f.name in ("seed", "hang_seconds"):
-            continue
-        value = getattr(plan, f.name)
-        if value:
-            parts.append(f"{f.name}={value}")
-    return "fault plan: " + ", ".join(parts)
+def spec_keys(*, service: bool) -> str:
+    """The spec keys a plan parses, in field order: a build's, or with
+    *service* also the daemon's."""
+    return ", ".join(f.metadata["key"] for f in fields(FaultPlan)
+                     if service or not f.metadata["service"])

@@ -11,7 +11,7 @@ infrastructure failure rates spike.
 
 from repro.service.client import ServiceClient, SubmitOutcome
 from repro.service.daemon import BuildService, CircuitBreaker, ServiceConfig
-from repro.service.journal import JobJournal, ReplayState
+from repro.service.journal import JobJournal, JobState
 from repro.service.protocol import (
     config_from_wire,
     config_to_wire,
@@ -26,7 +26,7 @@ __all__ = [
     "BuildService",
     "CircuitBreaker",
     "JobJournal",
-    "ReplayState",
+    "JobState",
     "ServiceClient",
     "ServiceConfig",
     "SubmitOutcome",

@@ -31,6 +31,7 @@ class SubmitOutcome:
     job_id: str
     status: str
     recovered: bool = False
+    attempts: int = 0
     breaker_open: bool = False
     image: Dict[str, object] = field(default_factory=dict)
     report: Optional[BuildReport] = None
@@ -42,6 +43,7 @@ class SubmitOutcome:
             job_id=str(view.get("id", "")),
             status=str(view.get("status", "")),
             recovered=bool(view.get("recovered", False)),
+            attempts=int(view.get("attempts", 0)),
             breaker_open=bool(view.get("breaker_open", False)),
             image=dict(view.get("image") or {}),
             report=(BuildReport.from_dict(report_data)

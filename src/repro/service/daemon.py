@@ -2,12 +2,12 @@
 
 One process, three moving parts:
 
-* **Admission** — a bounded job queue.  A full queue rejects *immediately*
-  with a typed :class:`~repro.errors.QueueFullError` on the wire (depth
-  and limit attached) — backpressure is a first-class answer, never a
-  hang.  Admission is write-ahead-journaled: the submit record is durable
-  before the job enters the queue, so a ``kill -9`` at any later point
-  leaves a recoverable job, never a lost one.
+* **Admission** — one job queue under a bounded backlog.  A full backlog
+  rejects *immediately* with a typed :class:`~repro.errors.QueueFullError`
+  on the wire (depth and limit attached) — backpressure is a first-class
+  answer, never a hang.  Admission is write-ahead-journaled: the submit
+  record is durable before the job enters the queue, so a ``kill -9`` at
+  any later point leaves a recoverable job, never a lost one.
 
 * **Executors** — ``job_workers`` threads, each running one admitted job
   at a time through :func:`repro.pipeline.build.build_program` with its
@@ -26,14 +26,15 @@ One process, three moving parts:
   admission rejections, breaker state, per-job latency histograms.
 
 Graceful drain (SIGTERM/SIGINT or a ``drain`` frame): stop admitting —
-late submitters get a typed rejection — finish or journal what is in
+late submitters get a typed rejection — run what is queued or in
 flight, checkpoint the journal, and hand back a typed summary.
 
-Restart recovery: replay the journal, re-admit every job that has a
-``submit`` record but no ``done`` record (bypassing admission control —
-recovered jobs were already admitted once), and serve completed results
-straight from the journal.  Determinism + atomic cache publication make
-the re-run bit-identical to the build the crash interrupted.
+Restart recovery: replay the journal, queue every job that has a
+``submit`` record but no ``done`` record in journal order, ahead of any
+new submission (bypassing the admission check — recovered jobs were
+already admitted once), and serve completed results straight from the
+journal.  Determinism + atomic cache publication make the re-run
+bit-identical to the build the crash interrupted.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import queue
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Deque, Dict, List, Optional
 
 from repro.errors import (
@@ -62,7 +63,7 @@ from repro.pipeline.cache import ModuleCache
 from repro.pipeline.cancel import CancelScope
 from repro.pipeline.config import BuildConfig
 from repro.pipeline.faults import FaultPlan
-from repro.service.journal import JobJournal
+from repro.service.journal import DONE_JOBS_KEPT, JobJournal, JobState
 from repro.service.protocol import (
     PROTOCOL_VERSION,
     config_from_wire,
@@ -83,6 +84,9 @@ INFRA_DEGRADATIONS = frozenset({
 #: before getting a typed "still running" answer instead of a result.
 WAIT_GRACE_SECONDS = 30.0
 
+#: Finished jobs between journal compactions.
+CHECKPOINT_EVERY = 32
+
 
 @dataclass
 class ServiceConfig:
@@ -95,73 +99,14 @@ class ServiceConfig:
     build_workers: int = 2                   # forked workers per job
     default_deadline: Optional[float] = 120.0
     chunk_timeout: Optional[float] = 30.0
-    incremental: bool = True
     breaker_threshold: int = 3
     breaker_window: int = 10
     breaker_cooldown: int = 5
     max_cache_bytes: Optional[int] = None
-    quarantine_max_bytes: int = 0
-    checkpoint_every: int = 32               # jobs between journal compactions
-    done_jobs_kept: int = 1024               # in-memory finished-job window
     fault_plan: Optional[FaultPlan] = None
 
     def resolved_cache_dir(self) -> str:
         return self.cache_dir or os.path.join(self.state_dir, "cache")
-
-
-@dataclass
-class JobState:
-    """One job's lifecycle inside the daemon."""
-
-    job_id: str
-    sources: Dict[str, str]
-    wire_config: Dict[str, object]
-    deadline: Optional[float]
-    status: str = "queued"       # queued | running | ok | error
-    recovered: bool = False
-    attempts: int = 0
-    breaker_open: bool = False
-    image: Dict[str, object] = field(default_factory=dict)
-    report: Dict[str, object] = field(default_factory=dict)
-    error: Dict[str, object] = field(default_factory=dict)
-    done: threading.Event = field(default_factory=threading.Event,
-                                  repr=False, compare=False)
-    scope: Optional[CancelScope] = field(default=None, repr=False,
-                                         compare=False)
-
-    @property
-    def finished(self) -> bool:
-        return self.status in ("ok", "error")
-
-    def view(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "id": self.job_id, "status": self.status,
-            "recovered": self.recovered, "attempts": self.attempts,
-            "breaker_open": self.breaker_open,
-        }
-        if self.image:
-            out["image"] = dict(self.image)
-        if self.report:
-            out["report"] = dict(self.report)
-        if self.error:
-            out["error"] = dict(self.error)
-        return out
-
-    @classmethod
-    def from_outcome(cls, job_id: str, sources: Dict[str, str],
-                     config: Dict[str, object], deadline: Optional[float],
-                     outcome: Dict[str, object]) -> "JobState":
-        """Rematerialise a finished job from a journal ``done`` record."""
-        job = cls(job_id=job_id, sources=sources, wire_config=config,
-                  deadline=deadline, recovered=True)
-        job.status = str(outcome.get("status", "error"))
-        job.attempts = int(outcome.get("attempts", 1))
-        job.breaker_open = bool(outcome.get("breaker_open", False))
-        job.image = dict(outcome.get("image") or {})
-        job.report = dict(outcome.get("report") or {})
-        job.error = dict(outcome.get("error") or {})
-        job.done.set()
-        return job
 
 
 class CircuitBreaker:
@@ -238,7 +183,7 @@ class BuildService:
         #: over its wire config.  Checked here, once, so a bad one is a
         #: ConfigError before any job is admitted or journaled.
         self._build_settings = dict(
-            workers=config.build_workers, incremental=config.incremental,
+            workers=config.build_workers, incremental=True,
             # Back-to-back jobs reuse one forked worker pool instead of
             # paying a pool spawn per job; a crashed pool is retired and
             # the next job forks a fresh one.
@@ -261,18 +206,17 @@ class BuildService:
         self._metrics_lock = threading.Lock()
         self._journal_lock = threading.Lock()
         self._lock = threading.Lock()          # jobs / admission / drain
-        self._queue: "queue.Queue[object]" = queue.Queue(
-            maxsize=max(1, config.queue_size))
-        #: Admitted-but-not-yet-executing jobs, counted under ``_lock`` —
-        #: the admission bound.  ``_queue.qsize()`` alone is racy: many
-        #: submits could pass a qsize check before any of their puts land.
+        #: The one job queue: recovered jobs first, in journal order, then
+        #: admissions in arrival order.
+        self._queue: "queue.Queue[JobState]" = queue.Queue()
+        #: Queued-but-not-yet-executing jobs, counted under ``_lock`` — the
+        #: admission bound.  ``_queue.qsize()`` alone is racy: many submits
+        #: could pass a qsize check before any of their puts land.
         self._backlog = 0
-        self._recovered: Deque[JobState] = collections.deque()
         self._jobs: Dict[str, JobState] = {}
         self._done_order: Deque[str] = collections.deque()
         self._executors: List[threading.Thread] = []
         self._draining = threading.Event()
-        self._drained = threading.Event()
         self._jobs_since_checkpoint = 0
         self._drain_reason = ""
         self._server = None
@@ -291,29 +235,22 @@ class BuildService:
         self.maintenance_cache.prune(
             self.config.max_cache_bytes
             if self.config.max_cache_bytes is not None else (1 << 62),
-            quarantine_max_bytes=self.config.quarantine_max_bytes,
             tmp_ttl=0.0)
         replay = self.journal.replay()
         if replay.torn_records:
             self._inc("service.journal_torn_records", replay.torn_records)
-        for job_id in replay.order:
-            state = replay.jobs[job_id]
-            if state.status == "done":
-                job = JobState.from_outcome(job_id, state.sources,
-                                            state.config, state.deadline,
-                                            state.outcome)
-                with self._lock:
-                    self._jobs[job_id] = job
-                    self._remember_done(job_id)
-                continue
-            job = JobState(job_id=job_id, sources=state.sources,
-                           wire_config=state.config, deadline=state.deadline,
-                           recovered=True, attempts=state.attempts)
-            with self._lock:
-                self._jobs[job_id] = job
-            self._recovered.append(job)
-            self.recovered_count += 1
-            self._inc("service.jobs_recovered")
+        with self._lock:
+            for job in replay.jobs.values():
+                if job.job_id in self._jobs:
+                    continue  # admitted by this service before start()
+                self._jobs[job.job_id] = job
+                if job.finished:
+                    self._remember_done(job.job_id)
+                else:
+                    self._backlog += 1
+                    self._queue.put(job)
+                    self.recovered_count += 1
+                    self._inc("service.jobs_recovered")
         self._update_depth_gauge()
         for i in range(max(1, self.config.job_workers)):
             thread = threading.Thread(target=self._executor_loop,
@@ -350,7 +287,6 @@ class BuildService:
         from repro.pipeline.parallel import shutdown_persistent_pool
 
         shutdown_persistent_pool()
-        self._drained.set()
         return self.summary()
 
     def close(self) -> None:
@@ -392,8 +328,7 @@ class BuildService:
 
     def _update_depth_gauge(self) -> None:
         with self._metrics_lock:
-            self.metrics.set_gauge("service.queue_depth",
-                                   self._backlog + len(self._recovered))
+            self.metrics.set_gauge("service.queue_depth", self._backlog)
             self.metrics.set_gauge("service.breaker_open",
                                    int(self.breaker.is_open))
 
@@ -439,14 +374,13 @@ class BuildService:
                     f"retry with backoff", depth=depth,
                     limit=self.config.queue_size)
             job = JobState(job_id=job_id, sources=dict(sources),
-                           wire_config=wire_config, deadline=deadline)
+                           config=wire_config, deadline=deadline)
             self._jobs[job_id] = job
             self._backlog += 1
         try:
             with self._journal_lock:
-                self.journal.submitted(job_id, job.sources, wire_config,
+                self.journal.submitted(job_id, job.sources, job.config,
                                        deadline)
-            # Cannot block: _backlog <= queue_size == the queue's maxsize.
             self._queue.put(job)
         except BaseException:
             with self._lock:
@@ -467,26 +401,20 @@ class BuildService:
     # -- executors -----------------------------------------------------------
 
     def _next_job(self) -> Optional[JobState]:
-        with self._lock:
-            if self._recovered:
-                return self._recovered.popleft()
         try:
             job = self._queue.get(timeout=0.1)
         except queue.Empty:
             return None
         with self._lock:
             self._backlog -= 1
-        return job  # type: ignore[return-value]
+        return job
 
     def _executor_loop(self) -> None:
         while True:
             job = self._next_job()
             if job is None:
-                if self._draining.is_set():
-                    with self._lock:
-                        idle = not self._recovered and self._queue.empty()
-                    if idle:
-                        return
+                if self._draining.is_set() and self._queue.empty():
+                    return
                 continue
             self._run_job(job)
             self._update_depth_gauge()
@@ -499,7 +427,7 @@ class BuildService:
             # workers to crash, no cache entries to corrupt or tear.
             settings.update(workers=1, incremental=False,
                             persistent_workers=False)
-        return replace(config_from_wire(job.wire_config), **settings)
+        return replace(config_from_wire(job.config), **settings)
 
     def _run_job(self, job: JobState) -> None:
         start = time.monotonic()
@@ -549,27 +477,20 @@ class BuildService:
         job.report = report or {}
         job.error = error or {}
         job.status = status
-        payload: Dict[str, object] = {
-            "attempts": job.attempts,
-            "breaker_open": job.breaker_open,
-        }
-        if image:
-            payload["image"] = image
-        if report:
-            payload["report"] = report
-        if error:
-            payload["error"] = error
         with self._journal_lock:
-            self.journal.done(job.job_id, status, payload)
-        with self._lock:
-            self._remember_done(job.job_id)
+            self.journal.done(job.job_id, status, job.outcome())
+            # Under the journal lock, so the window keeps finished jobs in
+            # the order their done records went to the journal.
+            with self._lock:
+                self._remember_done(job.job_id)
         self._inc(f"service.jobs_{status}")
         job.done.set()
 
     def _remember_done(self, job_id: str) -> None:
-        """Bound the in-memory finished-job window (journal keeps more)."""
+        """Bound the in-memory finished-job window to what every
+        checkpoint keeps, so a restart answers for the same jobs."""
         self._done_order.append(job_id)
-        while len(self._done_order) > self.config.done_jobs_kept:
+        while len(self._done_order) > DONE_JOBS_KEPT:
             old = self._done_order.popleft()
             job = self._jobs.get(old)
             if job is not None and job.finished:
@@ -578,9 +499,7 @@ class BuildService:
     def _maintain(self) -> None:
         """Post-job housekeeping: bounded cache, compacted journal."""
         if self.config.max_cache_bytes is not None:
-            self.maintenance_cache.prune(
-                self.config.max_cache_bytes,
-                quarantine_max_bytes=self.config.quarantine_max_bytes)
+            self.maintenance_cache.prune(self.config.max_cache_bytes)
             stats = self.maintenance_cache.stats
             with self._metrics_lock:
                 self.metrics.set_gauge("service.cache_evictions",
@@ -590,7 +509,7 @@ class BuildService:
                 self.metrics.set_gauge("service.cache_quarantine_reclaimed",
                                        stats.quarantine_reclaimed)
         self._jobs_since_checkpoint += 1
-        if self._jobs_since_checkpoint >= self.config.checkpoint_every:
+        if self._jobs_since_checkpoint >= CHECKPOINT_EVERY:
             self._jobs_since_checkpoint = 0
             with self._journal_lock:
                 self.journal.checkpoint()

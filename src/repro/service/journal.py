@@ -20,49 +20,106 @@ existing file performs the same re-sync when the tail lacks its
 terminator, so the first post-restart append is never glued to a line a
 real crash tore.
 
-``checkpoint()`` compacts the journal (drops records superseded by a
-``done``) by writing a temp file and atomically renaming it over the
-journal — the same publish-by-rename pattern the cache uses, so a crash
-mid-checkpoint leaves the previous journal intact.
+Replay folds the records into :class:`JobState`, the one record of a
+job, which the daemon runs and serves as is.  ``checkpoint()`` compacts
+the journal by rewriting each job from that state (its ``submit``, then
+its ``done`` or one ``start`` carrying its attempt count) into a temp
+file and atomically renaming it over the journal — the same
+publish-by-rename pattern the cache uses, so a crash mid-checkpoint
+leaves the previous journal intact.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.pipeline.cancel import CancelScope
 from repro.pipeline.faults import FaultPlan
+
+#: Finished jobs kept, newest first: the daemon's in-memory window and
+#: every ``checkpoint()`` keep the same number, so a restarted daemon
+#: answers ``query`` for exactly the jobs the live one did.
+DONE_JOBS_KEPT = 256
+
+#: The outcome fields a job carries only once it has them.
+_OUTCOME_DICTS = ("image", "report", "error")
 
 
 @dataclass
-class ReplayState:
-    """What the journal says about one job after a full replay."""
+class JobState:
+    """One job, the one record of it: what the journal's records replay
+    into, what the daemon runs and serves, and what compaction rewrites."""
 
     job_id: str
-    #: "pending" (submitted/started, never finished) or "done".
-    status: str = "pending"
-    sources: Dict[str, str] = field(default_factory=dict)
-    config: Dict[str, object] = field(default_factory=dict)
-    deadline: Optional[float] = None
-    #: Times the job was picked up by an executor (>1 ⇒ recovered runs).
+    sources: Dict[str, str]
+    #: The submitted wire config (see :mod:`repro.service.protocol`).
+    config: Dict[str, object]
+    deadline: Optional[float]
+    status: str = "queued"       # queued | running | ok | error
+    #: Rebuilt from the journal by a restarted daemon.
+    recovered: bool = False
+    #: Times an executor picked the job up (>1 ⇒ recovered runs).
     attempts: int = 0
-    #: The terminal record's payload ("result" / "error" / "report").
-    outcome: Dict[str, object] = field(default_factory=dict)
+    breaker_open: bool = False
+    image: Dict[str, object] = field(default_factory=dict)
+    report: Dict[str, object] = field(default_factory=dict)
+    error: Dict[str, object] = field(default_factory=dict)
+    # Runtime only, never journaled: set once the job finished, and the
+    # cancel scope of its current run.
+    done: threading.Event = field(default_factory=threading.Event,
+                                  repr=False, compare=False)
+    scope: Optional[CancelScope] = field(default=None, repr=False,
+                                         compare=False)
+
+    @property
+    def finished(self) -> bool:
+        return self.status in ("ok", "error")
+
+    def outcome(self) -> Dict[str, object]:
+        """Attempts, breaker state, and whichever of image, report and
+        error the job has: its ``done`` record's payload, and its wire
+        view after id, status and ``recovered``."""
+        out: Dict[str, object] = {"attempts": self.attempts,
+                                  "breaker_open": self.breaker_open}
+        for name in _OUTCOME_DICTS:
+            if getattr(self, name):
+                out[name] = dict(getattr(self, name))
+        return out
+
+    def view(self) -> Dict[str, object]:
+        return {"id": self.job_id, "status": self.status,
+                "recovered": self.recovered, **self.outcome()}
+
+    def fold(self, record: Dict[str, object]) -> None:
+        """Take a replayed ``start`` or ``done`` record into the job."""
+        if record.get("rec") == "start":
+            # The recorded attempt number, not a count of start records:
+            # compaction keeps one start record per pending job.
+            self.attempts = int(record.get("attempt", self.attempts + 1))
+        elif record.get("rec") == "done":
+            self.status = str(record.get("status", "error"))
+            self.attempts = int(record.get("attempts", self.attempts))
+            self.breaker_open = bool(record.get("breaker_open", False))
+            for name in _OUTCOME_DICTS:
+                setattr(self, name, dict(record.get(name) or {}))
+            self.done.set()
 
 
 @dataclass
 class ReplayResult:
-    jobs: Dict[str, ReplayState] = field(default_factory=dict)
-    #: Submission order of every job seen (replay re-runs in this order).
-    order: List[str] = field(default_factory=list)
+    #: Every job the journal holds, in journal order: pending jobs as they
+    #: were submitted, finished jobs as they finished.
+    jobs: Dict[str, JobState] = field(default_factory=dict)
     torn_records: int = 0
 
     @property
-    def pending(self) -> List[ReplayState]:
-        return [self.jobs[j] for j in self.order
-                if self.jobs[j].status == "pending"]
+    def pending(self) -> List[JobState]:
+        return [job for job in self.jobs.values() if not job.finished]
 
 
 class JobJournal:
@@ -137,9 +194,8 @@ class JobJournal:
 
     def done(self, job_id: str, status: str,
              payload: Dict[str, object]) -> None:
-        record = {"rec": "done", "id": job_id, "status": status}
-        record.update(payload)
-        self.append(record)
+        self.append({"rec": "done", "id": job_id, "status": status,
+                     **payload})
 
     def close(self) -> None:
         if self._fh is not None:
@@ -151,7 +207,8 @@ class JobJournal:
     # -- replay --------------------------------------------------------------
 
     def replay(self) -> ReplayResult:
-        """Reconstruct job states from disk (tolerates a torn tail)."""
+        """Fold the journal's records into job states (tolerates a torn
+        tail)."""
         result = ReplayResult()
         try:
             with open(self.path, "rb") as fh:
@@ -172,61 +229,59 @@ class JobJournal:
             job_id = str(record.get("id", ""))
             kind = record.get("rec")
             if kind == "submit":
-                state = ReplayState(
+                result.jobs[job_id] = JobState(
                     job_id=job_id,
                     sources={str(k): str(v) for k, v in
                              (record.get("sources") or {}).items()},
                     config=dict(record.get("config") or {}),
-                    deadline=record.get("deadline"))
-                if job_id not in result.jobs:
-                    result.order.append(job_id)
-                result.jobs[job_id] = state
+                    deadline=record.get("deadline"), recovered=True)
             elif kind == "start" and job_id in result.jobs:
-                result.jobs[job_id].attempts += 1
+                result.jobs[job_id].fold(record)
             elif kind == "done" and job_id in result.jobs:
-                state = result.jobs[job_id]
-                state.status = "done"
-                state.outcome = {k: v for k, v in record.items()
-                                 if k not in ("rec", "id")}
+                # A finished job moves to the end: finished jobs stand in
+                # the order they finished, as the daemon's window has them.
+                job = result.jobs.pop(job_id)
+                job.fold(record)
+                result.jobs[job_id] = job
         return result
 
     # -- compaction ----------------------------------------------------------
 
-    def checkpoint(self, keep_done: int = 256) -> ReplayResult:
+    def checkpoint(self, keep_done: int = DONE_JOBS_KEPT) -> ReplayResult:
         """Atomically rewrite the journal in compacted form.
 
-        Pending jobs keep their full submit record (they must survive a
-        restart); finished jobs are folded to a single ``submit`` +
-        ``done`` pair, and only the newest ``keep_done`` of those are
-        retained so the journal cannot grow without bound under a
-        long-lived daemon.
+        Each job is rewritten from its replayed state through the same
+        record methods the daemon appends with: its ``submit`` record,
+        then its ``done`` record once it finished, or else one ``start``
+        record carrying its attempt count once it ran.  Only the newest
+        ``keep_done`` finished jobs are kept, so the journal cannot grow
+        without bound under a long-lived daemon.
         """
         replay = self.replay()
-        done_ids = [j for j in replay.order
-                    if replay.jobs[j].status == "done"]
-        kept_done = set(done_ids[-keep_done:] if keep_done else [])
-        tmp = self.path + ".ckpt.tmp"
-        with open(tmp, "wb") as fh:
-            for job_id in replay.order:
-                state = replay.jobs[job_id]
-                if state.status == "done" and job_id not in kept_done:
-                    continue
-                submit = {"rec": "submit", "id": job_id,
-                          "sources": state.sources, "config": state.config,
-                          "deadline": state.deadline}
-                fh.write(json.dumps(submit, separators=(",", ":"))
-                         .encode("utf-8") + b"\n")
-                if state.status == "done":
-                    record = {"rec": "done", "id": job_id}
-                    record.update(state.outcome)
-                    fh.write(json.dumps(record, separators=(",", ":"))
-                             .encode("utf-8") + b"\n")
+        finished = [job.job_id for job in replay.jobs.values()
+                    if job.finished]
+        dropped = set(finished[:max(0, len(finished) - keep_done)])
+        compacted = JobJournal(self.path + ".ckpt.tmp")
+        # Records collect in memory (append's fsync is a no-op there); the
+        # file below gets one fsync for the lot before the rename.
+        compacted._fh = io.BytesIO()
+        for job in replay.jobs.values():
+            if job.job_id in dropped:
+                continue
+            compacted.submitted(job.job_id, job.sources, job.config,
+                                job.deadline)
+            if job.finished:
+                compacted.done(job.job_id, job.status, job.outcome())
+            elif job.attempts:
+                compacted.started(job.job_id, job.attempts)
+        with open(compacted.path, "wb") as fh:
+            fh.write(compacted._fh.getvalue())
             fh.flush()
             try:
                 os.fsync(fh.fileno())
             except OSError:
                 pass
         self.close()
-        os.replace(tmp, self.path)
+        os.replace(compacted.path, self.path)
         self._tail_torn = False
         return replay

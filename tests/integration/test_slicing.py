@@ -14,8 +14,11 @@ Pins the PR-10 tentpole contract:
   baseline-diff gate behave.
 """
 
+import glob
 import hashlib
 import json
+import os
+import pickle
 
 import pytest
 
@@ -118,6 +121,72 @@ class TestSlicedBuild:
             build_targets(SOURCES, ["arm64", "arm64"], BuildConfig())
         with pytest.raises(ReproError, match="unknown target"):
             build_targets(SOURCES, ["riscv"], BuildConfig())
+
+
+class TestSliceAccounting:
+    """Each slice counts its own cache work, and the build publishes its
+    gauges once, summed over its slices."""
+
+    def test_gauges_are_sums_over_slices(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            results = build_targets(SOURCES, TARGETS,
+                                    BuildConfig.preset("min-size"))
+        gauges = tracer.metrics.gauges
+        texts = [r.image.text_bytes for r in results.values()]
+        stripped = [r.report.stripped_bytes for r in results.values()]
+        assert len(set(texts)) == 2 and min(stripped) > 0
+        assert gauges["image.text_bytes"] == sum(texts)
+        assert gauges["image.binary_bytes"] == sum(
+            r.image.binary_bytes for r in results.values())
+        assert gauges["strip.bytes_removed"] == sum(stripped)
+        assert gauges["strip.functions_removed"] == sum(
+            r.report.stripped_functions for r in results.values())
+        # One slice: the gauges are that slice's own values.
+        tracer = Tracer()
+        with use_tracer(tracer):
+            one = build_program(SOURCES, BuildConfig.preset("min-size"))
+        assert tracer.metrics.gauges["image.text_bytes"] == texts[0]
+        assert tracer.metrics.gauges["strip.bytes_removed"] == (
+            one.report.stripped_bytes)
+
+    def _config(self, tmp_path):
+        return BuildConfig.preset("balanced", workers=1,
+                                  cache_dir=str(tmp_path))
+
+    def test_recovery_is_noted_only_on_its_own_slice(self, tmp_path):
+        """A corrupt image entry of one slice is that slice's recovery:
+        the other slice's image hit reports none."""
+        build_targets(SOURCES, TARGETS, self._config(tmp_path))
+        corrupted = 0
+        for path in glob.glob(os.path.join(tmp_path, "objects", "*",
+                                           "*.pkl")):
+            with open(path, "rb") as fh:
+                entry = pickle.load(fh)
+            if (isinstance(entry, dict) and "image" in entry
+                    and entry["image"].target_name == "arm64"):
+                with open(path, "wb") as fh:
+                    fh.write(b"garbage")
+                corrupted += 1
+        assert corrupted == 1
+        warm = build_targets(SOURCES, TARGETS, self._config(tmp_path))
+        kinds = {name: [e.kind for e in r.report.degradations]
+                 for name, r in warm.items()}
+        assert not warm["arm64"].report.image_cache_hit
+        assert kinds["arm64"] == ["cache-quarantine"]
+        assert warm["thumb2c"].report.image_cache_hit
+        assert kinds["thumb2c"] == []
+
+    def test_each_slice_counts_its_own_stores(self, tmp_path):
+        """A slice's stores are the frontend's (a meta and a module entry
+        per module, an entry per function) plus its own machine-code
+        entries and image."""
+        cold = build_targets(SOURCES, TARGETS, self._config(tmp_path))
+        for result in cold.values():
+            report = result.report
+            assert report.cache_stores == (2 * report.num_modules
+                                           + report.fn_cache_misses
+                                           + report.llc_cache_misses + 1)
 
 
 class TestOneTargetBuild:

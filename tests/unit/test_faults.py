@@ -1,10 +1,11 @@
 """Unit tests for the seeded fault-injection framework (pipeline/faults.py)."""
 
+import dataclasses
 import pickle
 
 import pytest
 
-from repro.pipeline.faults import FaultPlan, describe
+from repro.pipeline.faults import FaultPlan, spec_keys
 
 
 class TestDecisions:
@@ -81,7 +82,21 @@ class TestParse:
         with pytest.raises(ValueError):
             FaultPlan.parse(spec)
 
-    def test_describe(self):
-        assert describe(None) == "faults off"
-        text = describe(FaultPlan(seed=2, worker_crash_rate=0.5))
-        assert "seed=2" in text and "worker_crash_rate=0.5" in text
+    def test_every_field_has_a_spec_key_that_parses(self):
+        keys = [f.metadata["key"] for f in dataclasses.fields(FaultPlan)]
+        assert len(set(keys)) == len(keys)
+        assert spec_keys(service=True) == ", ".join(keys)
+        for f in dataclasses.fields(FaultPlan):
+            plan = FaultPlan.parse(f"{f.metadata['key']}=1")
+            assert getattr(plan, f.name) == 1
+        # A build's keys leave out the ones only the daemon reads.
+        build_keys = spec_keys(service=False).split(", ")
+        assert "crash" in build_keys and "hangsecs" in build_keys
+        assert not {"disconnect", "jtorn", "deadline", "sigterm"} & set(
+            build_keys)
+
+    @pytest.mark.parametrize("spec", ["crash=2", "hang=-1", "hangsecs=-5",
+                                      "jtorn=1.5", "corrupt=nan"])
+    def test_out_of_range_values_raise(self, spec):
+        with pytest.raises(ValueError, match="outside"):
+            FaultPlan.parse(spec)

@@ -20,7 +20,7 @@ class TestAppendReplay:
     def test_empty_journal_replays_empty(self, tmp_path):
         replay = _journal(tmp_path).replay()
         assert replay.jobs == {}
-        assert replay.order == []
+        assert list(replay.jobs) == []
         assert replay.torn_records == 0
 
     def test_submit_start_done_lifecycle(self, tmp_path):
@@ -32,13 +32,13 @@ class TestAppendReplay:
 
         replay = _journal(tmp_path).replay()
         state = replay.jobs["j1"]
-        assert state.status == "done"
+        assert state.finished
         assert state.sources == SOURCES
         assert state.config == CONFIG
         assert state.deadline == 30.0
         assert state.attempts == 1
-        assert state.outcome["status"] == "ok"
-        assert state.outcome["image"] == {"text_sha256": "aa"}
+        assert state.status == "ok"
+        assert state.image == {"text_sha256": "aa"}
         assert replay.pending == []
 
     def test_unfinished_job_is_pending(self, tmp_path):
@@ -73,7 +73,7 @@ class TestAppendReplay:
         for job_id in ids:
             journal.submitted(job_id, SOURCES, CONFIG, None)
         journal.close()
-        assert _journal(tmp_path).replay().order == ids
+        assert list(_journal(tmp_path).replay().jobs) == ids
 
 
 class TestTornTail:
@@ -163,8 +163,21 @@ class TestCheckpoint:
         assert kinds == [("submit", "j1"), ("done", "j1"), ("submit", "j2")]
 
         replay = journal.replay()
-        assert replay.jobs["j1"].status == "done"
+        assert replay.jobs["j1"].status == "ok"
         assert [s.job_id for s in replay.pending] == ["j2"]
+
+    def test_checkpoint_keeps_attempts_of_pending_jobs(self, tmp_path):
+        """A started job that has not finished keeps its attempt count
+        through compaction, as one start record carrying it."""
+        journal = _journal(tmp_path)
+        journal.submitted("j1", SOURCES, CONFIG, None)
+        journal.started("j1", 1)
+        journal.started("j1", 2)
+        journal.checkpoint()
+        assert journal.replay().jobs["j1"].attempts == 2
+        with open(journal.path, "rb") as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+        assert [r["rec"] for r in records] == ["submit", "start"]
 
     def test_checkpoint_bounds_done_history(self, tmp_path):
         journal = _journal(tmp_path)
@@ -201,3 +214,68 @@ class TestCheckpoint:
         journal.close()
         replay = _journal(tmp_path).replay()
         assert sorted(replay.jobs) == ["j1", "j2"]
+
+
+#: A journal the service wrote before replay folded straight into job
+#: states, in its two forms: append-only as the daemon wrote it, and as
+#: its checkpoint() compacted it (which dropped the start records of the
+#: pending job "run2").
+EARLIER_APPEND_ONLY = b"""\
+{"rec":"submit","id":"ok1","sources":{"Main":"func main() { print(1) }\\n"},"config":{"outline_rounds":1},"deadline":60.0}
+{"rec":"start","id":"ok1","attempt":1}
+{"rec":"submit","id":"err1","sources":{"Main":"func main() { print(1) }\\n"},"config":{},"deadline":5.0}
+{"rec":"start","id":"err1","attempt":1}
+{"rec":"done","id":"ok1","status":"ok","attempts":1,"breaker_open":false,"image":{"text_sha256":"abababababababababababababababababababababababababababababababab","text_bytes":40},"report":{"num_modules":1}}
+{"rec":"start","id":"err1","attempt":2}
+{"rec":"done","id":"err1","status":"error","attempts":2,"breaker_open":true,"error":{"error":"DeadlineExpiredError","message":"deadline expired at llc"}}
+{"rec":"submit","id":"run2","sources":{"Main":"func main() { print(1) }\\n"},"config":{},"deadline":null}
+{"rec":"start","id":"run2","attempt":1}
+{"rec":"start","id":"run2","attempt":2}
+{"rec":"submit","id":"queued","sources":{"Main":"func main() { print(1) }\\n"},"config":{},"deadline":null}
+"""
+
+EARLIER_COMPACTED = b"""\
+{"rec":"submit","id":"ok1","sources":{"Main":"func main() { print(1) }\\n"},"config":{"outline_rounds":1},"deadline":60.0}
+{"rec":"done","id":"ok1","status":"ok","attempts":1,"breaker_open":false,"image":{"text_sha256":"abababababababababababababababababababababababababababababababab","text_bytes":40},"report":{"num_modules":1}}
+{"rec":"submit","id":"err1","sources":{"Main":"func main() { print(1) }\\n"},"config":{},"deadline":5.0}
+{"rec":"done","id":"err1","status":"error","attempts":2,"breaker_open":true,"error":{"error":"DeadlineExpiredError","message":"deadline expired at llc"}}
+{"rec":"submit","id":"run2","sources":{"Main":"func main() { print(1) }\\n"},"config":{},"deadline":null}
+{"rec":"submit","id":"queued","sources":{"Main":"func main() { print(1) }\\n"},"config":{},"deadline":null}
+"""
+
+_OK1 = ("ok", 1, {"text_sha256": "ab" * 32, "text_bytes": 40}, {})
+_ERR1 = ("error", 2, {}, {"error": "DeadlineExpiredError",
+                          "message": "deadline expired at llc"})
+
+
+class TestEarlierJournals:
+    """Journals in the older forms replay to the statuses, attempts,
+    images and errors the daemon served from them before."""
+
+    def _replayed(self, tmp_path, blob):
+        (tmp_path / "journal.jsonl").write_bytes(blob)
+        replay = _journal(tmp_path).replay()
+        assert replay.torn_records == 0
+        return {job.job_id: (job.status, job.attempts, job.image, job.error)
+                for job in replay.jobs.values()}
+
+    def test_append_only_form(self, tmp_path):
+        assert self._replayed(tmp_path, EARLIER_APPEND_ONLY) == {
+            "ok1": _OK1, "err1": _ERR1,
+            "run2": ("queued", 2, {}, {}), "queued": ("queued", 0, {}, {})}
+
+    def test_compacted_form(self, tmp_path):
+        assert self._replayed(tmp_path, EARLIER_COMPACTED) == {
+            "ok1": _OK1, "err1": _ERR1,
+            "run2": ("queued", 0, {}, {}), "queued": ("queued", 0, {}, {})}
+
+    def test_compacting_the_append_only_form_keeps_every_outcome(
+            self, tmp_path):
+        (tmp_path / "journal.jsonl").write_bytes(EARLIER_APPEND_ONLY)
+        before = self._replayed(tmp_path, EARLIER_APPEND_ONLY)
+        _journal(tmp_path).checkpoint()
+        after = _journal(tmp_path).replay()
+        assert {job.job_id: (job.status, job.attempts, job.image, job.error)
+                for job in after.jobs.values()} == before
+        assert after.jobs["ok1"].report == {"num_modules": 1}
+        assert after.jobs["err1"].breaker_open is True

@@ -4,6 +4,7 @@ breaker state machine, cooperative cancellation scopes, deadline expiry,
 service-level fault sites, and journal-backed restart recovery."""
 
 import io
+import json
 import time
 from contextlib import contextmanager
 
@@ -27,6 +28,7 @@ from repro.service import (
     JobJournal,
     ServiceClient,
     ServiceConfig,
+    SubmitOutcome,
 )
 from repro.service import protocol
 from repro.service.protocol import (
@@ -547,3 +549,94 @@ class TestRecovery:
             assert job.image["text_sha256"] == reference_sha
         finally:
             restarted.close()
+
+    def test_restart_answers_for_the_same_finished_jobs(self, tmp_path):
+        """Over a journal of 300 finished jobs, the started daemon and the
+        one restarted after its drain answer ``query`` for the same jobs:
+        the window the live daemon keeps is what compaction keeps."""
+        state = tmp_path / "state"
+        state.mkdir()
+        with open(state / "journal.jsonl", "w", encoding="utf-8") as fh:
+            for i in range(300):
+                for record in (
+                        {"rec": "submit", "id": f"j{i}", "sources": SOURCES,
+                         "config": {}, "deadline": None},
+                        {"rec": "done", "id": f"j{i}", "status": "ok",
+                         "attempts": 1, "breaker_open": False,
+                         "image": {"text_sha256": f"{i:064x}"}}):
+                    fh.write(json.dumps(record) + "\n")
+
+        def answered(service):
+            return {f"j{i}" for i in range(300) if service.handle_request(
+                {"op": "query", "id": f"j{i}"})["ok"]}
+
+        live = BuildService(_service_config(tmp_path))
+        live.start()
+        try:
+            live_answers = answered(live)
+        finally:
+            live.close()
+        restarted = BuildService(_service_config(tmp_path))
+        restarted.start()
+        try:
+            assert answered(restarted) == live_answers
+            assert "j299" in live_answers
+        finally:
+            restarted.close()
+
+    def test_job_admitted_before_start_runs_once(self, tmp_path):
+        """A job this service admitted before start() is journaled, but it
+        is not a recovered job: it keeps its one record and runs once."""
+        service = BuildService(_service_config(tmp_path))
+        job = service.submit_job(SOURCES, job_id="early")
+        service.start()
+        try:
+            assert job.done.wait(timeout=30.0)
+            assert service.job("early") is job
+            assert service.recovered_count == 0
+            with open(service.journal.path, "rb") as fh:
+                kinds = [record["rec"] for record in map(json.loads, fh)]
+            assert kinds == ["submit", "start", "done"]
+        finally:
+            service.close()
+
+    def test_recovered_jobs_run_first_in_journal_order(self, tmp_path):
+        """Jobs a restart recovers run before any job admitted after
+        start(), in the order the journal holds them."""
+        crashed = BuildService(_service_config(tmp_path))
+        for job_id in ("r2", "r0", "r1"):
+            crashed.submit_job(SOURCES, job_id=job_id)
+        crashed.journal.close()
+
+        restarted = BuildService(_service_config(tmp_path, job_workers=1))
+        restarted.start()
+        try:
+            late = restarted.submit_job(SOURCES, job_id="late")
+            for job_id in ("r2", "r0", "r1", "late"):
+                assert restarted.job(job_id).done.wait(timeout=60.0)
+            assert late.status == "ok"
+            with open(restarted.journal.path, "rb") as fh:
+                started = [record["id"] for record in map(json.loads, fh)
+                           if record["rec"] == "start"]
+            assert started == ["r2", "r0", "r1", "late"]
+        finally:
+            restarted.close()
+
+
+class TestJobView:
+    def test_view_keys_and_client_outcome(self, tmp_path):
+        """The wire view keeps its keys, and the client reads every one of
+        them, attempts included."""
+        with running_service(tmp_path) as service:
+            job = service.submit_job(SOURCES, job_id="viewed")
+            assert job.done.wait(timeout=30.0)
+            view = service.handle_request({"op": "query",
+                                           "id": "viewed"})["job"]
+        assert list(view) == ["id", "status", "recovered", "attempts",
+                              "breaker_open", "image", "report"]
+        outcome = SubmitOutcome.from_view(view)
+        assert outcome.attempts == 1
+        assert outcome.status == "ok"
+        assert outcome.report.num_modules == 1
+        assert SubmitOutcome.from_view(
+            {"id": "x", "status": "queued", "attempts": 3}).attempts == 3
