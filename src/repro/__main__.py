@@ -90,7 +90,7 @@ _CLI_KNOBS = (
     ("data_layout", "data_layout"), ("layout", "layout"),
     ("layout_seed", "layout_seed"), ("profile_in", "profile_path"),
     ("workers", "workers"), ("incremental", "incremental"),
-    ("cache_dir", "cache_dir"), ("fail_fast", "fail_fast"),
+    ("cache_dir", "cache_dir"),
 )
 
 
@@ -461,9 +461,6 @@ def _add_build_args(parser) -> None:
     parser.add_argument("--cache-dir", default=None,
                         help="cache location (default: $REPRO_CACHE_DIR "
                              "or a tempdir)")
-    parser.add_argument("--fail-fast", action="store_true", default=None,
-                        help="raise on the first worker failure instead of "
-                             "retrying/degrading (for CI)")
     parser.add_argument("--inject-faults", default=None, metavar="SPEC",
                         help="seeded fault injection, e.g. "
                              "'seed=7,crash=0.3,corrupt=1' (keys: "

@@ -111,38 +111,20 @@ class ProfileError(ReproError):
 class BuildError(ReproError):
     """The build orchestrator could not produce a binary.
 
-    By default transient worker failures never surface as exceptions —
-    they become :class:`~repro.pipeline.report.DegradationEvent` records
-    and the degradation ladder (retry -> serial re-run) absorbs them.
-    With ``BuildConfig(fail_fast=True)`` the ladder is disabled and the
-    first chunk failure raises (:class:`WorkerCrashError` for dead or
-    hung workers, plain :class:`BuildError` otherwise).
+    Transient worker failures never surface as exceptions: they become
+    :class:`~repro.pipeline.report.DegradationEvent` records and the
+    degradation ladder (retry -> serial re-run) absorbs them.  Only a
+    failure of the serial re-run in the parent, an unrecoverable cache
+    entry or an expired deadline ends a build with an error.
     """
-
-
-class WorkerCrashError(BuildError):
-    """A compilation worker process died (or was killed) mid-chunk."""
-
-    def __init__(self, message: str, chunk: int = -1, attempt: int = 0):
-        super().__init__(message)
-        self.chunk = chunk
-        self.attempt = attempt
 
 
 class CacheCorruptionError(BuildError):
     """A cache entry was unreadable and could not be recovered in place."""
 
 
-class JobCancelledError(BuildError):
-    """A build was cooperatively cancelled (drain, client abort, breaker)."""
-
-
-class DeadlineExpiredError(JobCancelledError):
-    """A job missed its deadline and was cancelled at a checkpoint.
-
-    Subclass of :class:`JobCancelledError`: an expired deadline *is* a
-    cancellation, just one the scheduler (not the client) requested.
-    """
+class DeadlineExpiredError(BuildError):
+    """A job missed its deadline and was stopped at a checkpoint."""
 
 
 class ServiceError(ReproError):

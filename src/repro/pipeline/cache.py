@@ -461,34 +461,21 @@ class ModuleCache:
                 except OSError:
                     pass
 
-    def _gc_quarantine(self, max_bytes: int) -> None:
-        """Bound ``quarantine/`` to ``max_bytes`` (oldest files first)."""
+    def _gc_quarantine(self) -> None:
+        """Reclaim every file in ``quarantine/``."""
         qdir = os.path.join(self.root, "quarantine")
         try:
             names = os.listdir(qdir)
         except OSError:
             return
-        files: List[Tuple[float, int, str]] = []
         for name in names:
-            path = os.path.join(qdir, name)
             try:
-                st = os.stat(path)
-            except OSError:
-                continue
-            files.append((st.st_mtime, st.st_size, path))
-        total = sum(size for _, size, _ in files)
-        for _, size, path in sorted(files):
-            if total <= max_bytes:
-                break
-            try:
-                os.unlink(path)
+                os.unlink(os.path.join(qdir, name))
                 self.stats.quarantine_reclaimed += 1
-                total -= size
             except OSError:
                 pass
 
-    def prune(self, max_bytes: int, *, quarantine_max_bytes: int = 0,
-              tmp_ttl: float = 300.0) -> int:
+    def prune(self, max_bytes: int, *, tmp_ttl: float = 300.0) -> int:
         """Bound the cache's disk footprint; returns files removed.
 
         Three sweeps, all safe against concurrent builds sharing the
@@ -500,9 +487,8 @@ class ModuleCache:
           stores and quarantines of its key take, so a prune can never
           race a store into deleting a freshly published entry's temp
           file or vice versa;
-        * ``quarantine/`` is bounded to ``quarantine_max_bytes`` (0 —
-          the default — reclaims every quarantined entry: a long-lived
-          daemon cannot keep corpses around for post-mortems forever);
+        * every quarantined entry is reclaimed (a long-lived daemon
+          cannot keep corpses around for post-mortems forever);
         * stale ``*.tmp`` files from crashed writers older than
           ``tmp_ttl`` seconds are reaped.
 
@@ -514,7 +500,7 @@ class ModuleCache:
                          + self.stats.quarantine_reclaimed
                          + self.stats.tmp_reaped)
         self._reap_stale_tmp(tmp_ttl)
-        self._gc_quarantine(quarantine_max_bytes)
+        self._gc_quarantine()
         entries = self._object_entries()
         total = sum(size for _, size, _, _ in entries)
         for _, size, key, path in sorted(entries):

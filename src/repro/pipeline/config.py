@@ -206,7 +206,7 @@ class BuildConfig:
 
     # -- build-speed knobs (never affect the produced binary) ---------------
     #: Worker processes for per-module lowering (1 = serial, 0 = auto).
-    workers: int = _stage("speed", 1)
+    workers: int = _stage("speed", 1, minimum=0)
     #: Consult/populate the content-addressed build cache.
     incremental: bool = _stage("speed", False)
     #: Cache location; None = $REPRO_CACHE_DIR or a tempdir default.
@@ -223,20 +223,12 @@ class BuildConfig:
     #: parent.  None disables the deadline (a hung worker then hangs the
     #: build).
     chunk_timeout: Optional[float] = _stage("robustness", 60.0)
-    #: In-pool retries per chunk before the serial in-parent re-run.
-    max_chunk_retries: int = _stage("robustness", 2)
-    #: Base backoff in seconds between chunk retry rounds.
-    retry_backoff: float = _stage("robustness", 0.05)
-    #: Disable the degradation ladder: the first chunk failure raises a
-    #: typed WorkerCrashError/BuildError instead of retrying.  Useful in
-    #: CI, where a flaky worker should be noticed rather than absorbed.
-    fail_fast: bool = _stage("robustness", False)
     #: Seeded fault-injection schedule (tests/CI only; None = no faults).
     fault_plan: Optional[FaultPlan] = _stage("robustness", None)
-    #: Cooperative cancellation/deadline scope for this build
-    #: (:class:`~repro.pipeline.cancel.CancelScope`); checked at phase
-    #: boundaries and between chunk-retry rounds.  The daemon gives every
-    #: job its own scope; ``None`` (the one-shot CLI) never cancels.
+    #: Per-build deadline (:class:`~repro.pipeline.cancel.CancelScope`),
+    #: checked at phase boundaries and between chunk-retry rounds.  The
+    #: daemon gives every job its own scope; ``None`` (the one-shot CLI)
+    #: has no deadline.
     cancel_scope: Optional[object] = _stage("robustness", None)
 
     def __post_init__(self) -> None:

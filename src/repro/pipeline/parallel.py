@@ -13,10 +13,12 @@ serial in-parent re-run, so concurrent builds share no payload state.  A
 request for one worker or one item runs the chunk function in this
 process, with no pool and no pickling.
 
-Failure handling is a ladder, not a cliff.  Each chunk independently gets:
+Failure handling is a ladder, not a cliff, and it is the only failure
+policy.  Each chunk independently gets:
 
-1. bounded in-pool retries with backoff (a crash, timeout, or unpicklable
-   result burns one attempt; a broken pool is rebuilt);
+1. :data:`MAX_CHUNK_RETRIES` in-pool retries with backoff (a crash,
+   timeout, or unpicklable result burns one attempt; a broken pool is
+   rebuilt);
 2. a serial re-run in the parent process once retries are exhausted;
 3. only an error raised *by the compiler itself* during that serial
    re-run propagates — as a typed :class:`~repro.errors.ReproError`.
@@ -41,7 +43,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import BuildError, WorkerCrashError
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.trace import Span, Tracer
@@ -56,6 +57,12 @@ from repro.pipeline.report import BuildReport
 #: ``finally``, and the atexit sweep catches anything that still escaped
 #: (e.g. an exception thrown from a signal handler at an awkward point).
 _LIVE_POOLS: "weakref.WeakSet" = weakref.WeakSet()
+
+#: In-pool retries per chunk before the serial in-parent re-run.
+MAX_CHUNK_RETRIES = 2
+
+#: Base backoff in seconds between chunk retry rounds (round n waits n×).
+RETRY_BACKOFF_S = 0.05
 
 
 def _worker_init() -> None:
@@ -204,12 +211,12 @@ def resolve_workers(workers: int) -> int:
     """Translate the config knob into a worker count (0 = auto).
 
     Uses :func:`os.cpu_count` (which returns ``None`` rather than raising
-    when the platform cannot tell, unlike ``multiprocessing.cpu_count``)
-    and clamps nonsensical negative requests to serial.
+    when the platform cannot tell, unlike ``multiprocessing.cpu_count``).
+    ``BuildConfig`` rejects a negative count when it is made.
     """
     if workers == 0:
         return max(1, (os.cpu_count() or 2) - 1)
-    return max(1, workers)
+    return workers
 
 
 # --- chunk workers -----------------------------------------------------------
@@ -339,9 +346,6 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
                plan: Optional[FaultPlan] = None,
                report: Optional[BuildReport] = None,
                chunk_timeout: Optional[float] = None,
-               max_retries: int = 2,
-               retry_backoff: float = 0.05,
-               fail_fast: bool = False,
                cancel_scope: Optional[CancelScope] = None,
                persistent: bool = False,
                ) -> List[object]:
@@ -353,13 +357,9 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
     crash, hang past ``chunk_timeout``, unpicklable result, no fork, pool
     creation failure) are absorbed by retry / serial re-run and recorded
     on ``report`` under phase ``kind``; only a failure of the serial
-    in-parent re-run — a real compiler error — propagates.
-
-    With ``fail_fast=True`` the ladder is disabled: the first chunk
-    failure raises a typed error (:class:`~repro.errors.WorkerCrashError`
-    for a dead or hung worker, :class:`~repro.errors.BuildError`
-    otherwise) instead of degrading.  Useful in CI, where a flaky worker
-    should be *noticed*, not papered over.
+    in-parent re-run — a real compiler error — propagates.  Each chunk
+    gets ``MAX_CHUNK_RETRIES + 1`` pool attempts, ``RETRY_BACKOFF_S``
+    times the attempt number apart.
 
     With ``persistent=True`` the chunks run on the shared cross-build
     pool (created on first use, reused afterwards) instead of a pool
@@ -382,14 +382,14 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
                      "platform has no fork start method")
 
     # The pool lives inside a try/finally: *any* exception leaving this
-    # function — a fail-fast typed error, a cancellation checkpoint, a
-    # KeyboardInterrupt delivered to the main thread — tears the pool
-    # down (workers terminated, not just the queue drained), so an
-    # interrupted build cannot leak orphaned forks.
+    # function — a deadline checkpoint, a KeyboardInterrupt delivered to
+    # the main thread — tears the pool down (workers terminated, not just
+    # the queue drained), so an interrupted build cannot leak orphaned
+    # forks.
     pool = None
     try:
         if ctx is not None:
-            for attempt in range(max_retries + 1):
+            for attempt in range(MAX_CHUNK_RETRIES + 1):
                 if not pending:
                     break
                 checkpoint(cancel_scope, f"{kind} retry round")
@@ -406,8 +406,8 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
                         _degrade(report, "pool-unavailable", kind,
                                  f"{type(exc).__name__}: {exc}")
                         break
-                if attempt and retry_backoff:
-                    time.sleep(retry_backoff * attempt)
+                if attempt:
+                    time.sleep(RETRY_BACKOFF_S * attempt)
                 futures = {}
                 for i in pending:
                     try:
@@ -421,11 +421,6 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
                         # were drained, or a reused persistent pool went
                         # bad between builds.  Same rung as a crash seen
                         # mid-round, not an escape from the ladder.
-                        if fail_fast:
-                            raise WorkerCrashError(
-                                f"{kind} chunk {i}: "
-                                f"{exc or 'pool broken at submit'}",
-                                chunk=i, attempt=attempt) from exc
                         _degrade(report, "worker-crash", kind,
                                  f"pool broken at submit: "
                                  f"{exc or 'worker process died'}",
@@ -444,32 +439,18 @@ def run_chunks(kind: str, *, chunks: Sequence[Tuple],
                     try:
                         results[i] = fut.result(timeout=wait_timeout)
                     except concurrent.futures.TimeoutError:
-                        if fail_fast:
-                            raise WorkerCrashError(
-                                f"{kind} chunk {i}: no result "
-                                f"within {wait_timeout:g}s",
-                                chunk=i, attempt=attempt)
                         _degrade(report, "chunk-timeout", kind,
                                  f"no result within {wait_timeout:g}s",
                                  chunk=i, attempt=attempt)
                         still.append(i)
                         pool_dead = True  # a hung worker occupies a slot
                     except BrokenProcessPool as exc:
-                        if fail_fast:
-                            raise WorkerCrashError(
-                                f"{kind} chunk {i}: "
-                                f"{exc or 'worker process died'}",
-                                chunk=i, attempt=attempt)
                         _degrade(report, "worker-crash", kind,
                                  str(exc) or "worker process died",
                                  chunk=i, attempt=attempt)
                         still.append(i)
                         pool_dead = True
                     except Exception as exc:
-                        if fail_fast:
-                            raise BuildError(
-                                f"{kind} chunk {i} failed: "
-                                f"{type(exc).__name__}: {exc}") from exc
                         _degrade(report, "chunk-error", kind,
                                  f"{type(exc).__name__}: {exc}",
                                  chunk=i, attempt=attempt)
@@ -551,9 +532,6 @@ def _fan_out(kind: str, chunks: List[List], payloads: List[Dict[str, object]],
                          workers=resolve_workers(config.workers),
                          plan=config.fault_plan, report=report,
                          chunk_timeout=config.chunk_timeout,
-                         max_retries=config.max_chunk_retries,
-                         retry_backoff=config.retry_backoff,
-                         fail_fast=config.fail_fast,
                          cancel_scope=config.cancel_scope,
                          persistent=config.persistent_workers)
     return [pair for chunk_result in results for pair in chunk_result]

@@ -3,7 +3,7 @@
 The service layer extends the pipeline's fault-tolerance invariant (any
 injected fault ⇒ bit-identical image or typed error, never a hang or a
 silently different binary) across process lifetimes: a bounded job queue
-with typed backpressure, per-job deadlines with cooperative cancellation,
+with typed backpressure, per-job deadlines checked cooperatively,
 an append-only crash-recovery journal, graceful drain on SIGTERM/SIGINT,
 and a circuit breaker that degrades to serial-uncached builds when
 infrastructure failure rates spike.

@@ -12,7 +12,7 @@ One process, three moving parts:
 * **Executors** — ``job_workers`` threads, each running one admitted job
   at a time through :func:`repro.pipeline.build.build_program` with its
   own :class:`~repro.pipeline.cancel.CancelScope` (deadline = the job's
-  budget).  Cancellation is cooperative and *per job*: an expired
+  budget).  Deadlines are cooperative and *per job*: an expired
   deadline tears down that job's forked worker pool at the next
   checkpoint and journals a typed ``DeadlineExpiredError``; every other
   job keeps running.
@@ -55,7 +55,6 @@ from repro.errors import (
     QueueFullError,
     ReproError,
     ServiceError,
-    WorkerCrashError,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline.build import build_program
@@ -231,7 +230,7 @@ class BuildService:
         _preimport_compiler()
         # The daemon owns its state dir: nothing else is mid-store at
         # startup, so crashed writers' temp files are reaped regardless
-        # of age, and the quarantine is bounded right away.
+        # of age, and the quarantine is reclaimed right away.
         self.maintenance_cache.prune(
             self.config.max_cache_bytes
             if self.config.max_cache_bytes is not None else (1 << 62),
@@ -454,8 +453,7 @@ class BuildService:
             self._finish(job, "ok", image=image_summary(result.image),
                          report=report.as_dict())
         except ReproError as exc:
-            infra_failure = isinstance(exc, (WorkerCrashError,
-                                             CacheCorruptionError))
+            infra_failure = isinstance(exc, CacheCorruptionError)
             self._finish(job, "error", error=error_to_wire(exc))
         except BaseException as exc:  # noqa: BLE001 — executor must survive
             # An unexpected exception still yields a *typed* outcome; the

@@ -70,7 +70,7 @@ class JobState:
     report: Dict[str, object] = field(default_factory=dict)
     error: Dict[str, object] = field(default_factory=dict)
     # Runtime only, never journaled: set once the job finished, and the
-    # cancel scope of its current run.
+    # deadline scope of its current run.
     done: threading.Event = field(default_factory=threading.Event,
                                   repr=False, compare=False)
     scope: Optional[CancelScope] = field(default=None, repr=False,

@@ -84,7 +84,7 @@ def error_to_wire(exc: BaseException) -> Dict[str, str]:
     # Structured fields some errors carry (e.g. QueueFullError's
     # depth/limit — a client's backoff policy wants the numbers).
     detail = {field: getattr(exc, field)
-              for field in ("depth", "limit", "chunk", "attempt")
+              for field in ("depth", "limit")
               if isinstance(getattr(exc, field, None), int)}
     if detail:
         wire["detail"] = detail

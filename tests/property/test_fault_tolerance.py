@@ -70,8 +70,7 @@ def check_invariant(plan, *, pipeline="wholeprogram", workers=3,
     config = BuildConfig(pipeline=pipeline, outline_rounds=1,
                          workers=workers, incremental=incremental,
                          cache_dir=cache_dir, fault_plan=plan,
-                         chunk_timeout=0.15, max_chunk_retries=1,
-                         retry_backoff=0.01)
+                         chunk_timeout=0.15)
     for _ in range(prebuilds):
         # Populate (and then stress) the cache under the same plan.
         try:
@@ -153,8 +152,7 @@ def test_seed_matrix(plan, pipeline, tmp_path):
 def test_degradations_are_visible_on_the_report():
     plan = FaultPlan(seed=42, worker_crash_rate=1.0)
     config = BuildConfig(pipeline="default", outline_rounds=1, workers=3,
-                         fault_plan=plan, chunk_timeout=0.5,
-                         max_chunk_retries=1, retry_backoff=0.01)
+                         fault_plan=plan, chunk_timeout=0.5)
     result = build_program(SOURCES, config)
     kinds = {e.kind for e in result.report.degradations}
     assert "worker-crash" in kinds

@@ -87,9 +87,6 @@ SPEED_ALTERNATIVES = {
     "cache_dir": None,
     "persistent_workers": True,
     "chunk_timeout": None,
-    "max_chunk_retries": 0,
-    "retry_backoff": 0.0,
-    "fail_fast": True,
     "fault_plan": FaultPlan(seed=7),
     "cancel_scope": CancelScope(deadline_seconds=600.0),
 }

@@ -1,11 +1,12 @@
 """BuildConfig's legal values, declared once and checked on construction.
 
 Every field declares its legal values beside its cache stage: a string
-mode its tuple of choices, ``outline_rounds`` its minimum, and every field
-its exact type (a bool is not an int).  A bad value raises ConfigError
-naming the field, the value and what is legal, whichever way the config
-is made (the constructor, a preset, ``dataclasses.replace``, the daemon's
-wire decoder), and before any build work, cache entry or journal record.
+mode its tuple of choices, a count (``outline_rounds``, ``workers``) its
+minimum, and every field its exact type (a bool is not an int).  A bad
+value raises ConfigError naming the field, the value and what is legal,
+whichever way the config is made (the constructor, a preset,
+``dataclasses.replace``, the daemon's wire decoder), and before any build
+work, cache entry or journal record.
 """
 
 import argparse
@@ -15,10 +16,11 @@ from dataclasses import replace
 import pytest
 
 from repro import api
-from repro.__main__ import _add_image_args
+from repro.__main__ import _add_image_args, main
 from repro.errors import ConfigError
 from repro.obs import Tracer
 from repro.pipeline.config import BuildConfig
+from repro.service.daemon import BuildService, ServiceConfig
 from repro.service.protocol import config_from_wire
 
 SOURCES = {"Main": "func main() { print(6 * 7) }\n"}
@@ -73,8 +75,43 @@ def test_every_legal_value_constructs():
     for name, choices in CHOICES.items():
         for value in choices or ():
             assert getattr(BuildConfig(**{name: value}), name) == value
-    BuildConfig(outline_rounds=0, chunk_timeout=None, retry_backoff=0,
+    BuildConfig(outline_rounds=0, workers=0, chunk_timeout=None,
                 cache_dir=None, profile_path=None, target="riscv")
+    assert BuildConfig(chunk_timeout=60).chunk_timeout == 60  # int is float
+
+
+def test_negative_worker_count_is_rejected(tmp_path, capsys):
+    """A negative worker count is a ConfigError wherever it is set, not a
+    silent serial build; the wire carries no worker count at all."""
+    message = r"BuildConfig\.workers=-4: expected an int >= 0"
+    makers = (
+        lambda: BuildConfig(workers=-4),
+        lambda: BuildConfig.preset("balanced", workers=-4),
+        lambda: replace(BuildConfig(), workers=-4),
+        lambda: BuildService(ServiceConfig(
+            state_dir=str(tmp_path / "state"), build_workers=-4)),
+    )
+    for make in makers:
+        with pytest.raises(ConfigError, match=message):
+            make()
+    assert not (tmp_path / "state").exists()
+    source = tmp_path / "Main.sw"
+    source.write_text(SOURCES["Main"])
+    assert main(["build", str(source), "--workers", "-4"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ConfigError: ")
+    assert "workers=-4" in captured.err
+
+
+@pytest.mark.parametrize("knob,value", [("fail_fast", True),
+                                        ("max_chunk_retries", 0),
+                                        ("retry_backoff", 0.0)])
+def test_retired_robustness_knobs_are_rejected(knob, value):
+    """The degradation ladder is the one failure policy and its retry
+    budget is a constant, so these names are no BuildConfig field."""
+    with pytest.raises(ConfigError, match=knob):
+        BuildConfig.preset("balanced", **{knob: value})
 
 
 def test_config_is_frozen():

@@ -290,8 +290,7 @@ class TestDegradationEvents:
     def test_degradations_become_instant_annotations(self):
         plan = FaultPlan(seed=42, worker_crash_rate=1.0)
         config = BuildConfig(pipeline="default", outline_rounds=1, workers=3,
-                             fault_plan=plan, chunk_timeout=0.5,
-                             max_chunk_retries=1, retry_backoff=0.01)
+                             fault_plan=plan, chunk_timeout=0.5)
         result, tracer = _traced_build(config)
         instants = [s for s in tracer.all_spans()
                     if s.instant and s.name.startswith("degraded:")]

@@ -8,7 +8,6 @@ import threading
 
 import pytest
 
-from repro.errors import BuildError, WorkerCrashError
 from repro.pipeline import BuildConfig, parallel
 from repro.pipeline.faults import FaultPlan
 from repro.pipeline.report import BuildReport
@@ -29,7 +28,7 @@ def _run(chunks, *, plan=None, report=None, bias=0, workers=2, **kw):
                                chunk_payloads=[{"bias": bias}
                                                for _ in chunks],
                                workers=workers, plan=plan, report=report,
-                               retry_backoff=0.01, **kw)
+                               **kw)
 
 
 EXPECTED = [[1, 4], [9, 16], [25]]
@@ -40,9 +39,6 @@ class TestResolveWorkers:
     def test_explicit_counts_pass_through(self):
         assert parallel.resolve_workers(3) == 3
         assert parallel.resolve_workers(1) == 1
-
-    def test_negative_requests_clamp_to_serial(self):
-        assert parallel.resolve_workers(-4) == 1
 
     def test_auto_uses_os_cpu_count(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 9)
@@ -62,11 +58,21 @@ class TestLadder:
     def test_worker_crash_retries_then_serial_rerun(self):
         report = BuildReport()
         plan = FaultPlan(seed=1, worker_crash_rate=1.0)
-        assert _run(CHUNKS, plan=plan, report=report,
-                    max_retries=1) == EXPECTED
+        assert _run(CHUNKS, plan=plan, report=report) == EXPECTED
         kinds = {e.kind for e in report.degradations}
         assert "worker-crash" in kinds
         assert "chunk-serial-rerun" in kinds
+
+    def test_crash_on_every_attempt_walks_each_rung_once(self):
+        # One chunk, so no other chunk's crash can break its pool.
+        report = BuildReport()
+        plan = FaultPlan(seed=1, worker_crash_rate=1.0)
+        assert _run([[3, 4]], plan=plan, report=report) == [[9, 16]]
+        attempts = parallel.MAX_CHUNK_RETRIES + 1
+        assert [e.kind for e in report.degradations] == (
+            ["worker-crash"] * attempts + ["chunk-serial-rerun"])
+        assert [e.attempt for e in report.degradations[:-1]] == list(
+            range(attempts))
 
     def test_transient_crash_recovers_in_pool(self):
         # With a sub-1.0 rate and fresh decisions per attempt, enough
@@ -74,15 +80,14 @@ class TestLadder:
         # serial rung stays available either way — all results are right.
         report = BuildReport()
         plan = FaultPlan(seed=2, worker_crash_rate=0.5)
-        assert _run(CHUNKS, plan=plan, report=report,
-                    max_retries=4) == EXPECTED
+        assert _run(CHUNKS, plan=plan, report=report) == EXPECTED
         assert any(e.kind == "worker-crash" for e in report.degradations)
 
     def test_hung_chunk_hits_deadline_then_serial_rerun(self):
         report = BuildReport()
         plan = FaultPlan(seed=3, worker_hang_rate=1.0, hang_seconds=5.0)
-        assert _run(CHUNKS, plan=plan, report=report, chunk_timeout=0.1,
-                    max_retries=0) == EXPECTED
+        assert _run(CHUNKS, plan=plan, report=report,
+                    chunk_timeout=0.1) == EXPECTED
         kinds = [e.kind for e in report.degradations]
         assert "chunk-timeout" in kinds
         assert "chunk-serial-rerun" in kinds
@@ -90,8 +95,7 @@ class TestLadder:
     def test_unpicklable_result_degrades(self):
         report = BuildReport()
         plan = FaultPlan(seed=4, pickle_failure_rate=1.0)
-        assert _run(CHUNKS, plan=plan, report=report,
-                    max_retries=1) == EXPECTED
+        assert _run(CHUNKS, plan=plan, report=report) == EXPECTED
         errors = [e for e in report.degradations if e.kind == "chunk-error"]
         assert errors and "pickle" in errors[0].detail.lower()
 
@@ -114,34 +118,6 @@ class TestLadder:
 
     def test_empty_chunk_list(self):
         assert _run([]) == []
-
-
-class TestFailFast:
-    """fail_fast=True disables the ladder: the first chunk failure raises
-    a typed error instead of degrading (for CI, where a flaky worker
-    should be noticed, not absorbed)."""
-
-    def test_crash_raises_worker_crash_error(self):
-        plan = FaultPlan(seed=3, worker_crash_rate=1.0)
-        with pytest.raises(WorkerCrashError):
-            _run(CHUNKS, plan=plan, fail_fast=True)
-
-    def test_hang_raises_worker_crash_error(self):
-        plan = FaultPlan(seed=4, worker_hang_rate=1.0, hang_seconds=5.0)
-        with pytest.raises(WorkerCrashError) as excinfo:
-            _run(CHUNKS, plan=plan, fail_fast=True, chunk_timeout=0.1)
-        assert "no result" in str(excinfo.value)
-
-    def test_unpicklable_result_raises_build_error(self):
-        plan = FaultPlan(seed=5, pickle_failure_rate=1.0)
-        with pytest.raises(BuildError) as excinfo:
-            _run(CHUNKS, plan=plan, fail_fast=True)
-        assert not isinstance(excinfo.value, WorkerCrashError)
-
-    def test_healthy_pool_is_unaffected(self):
-        report = BuildReport()
-        assert _run(CHUNKS, report=report, fail_fast=True) == EXPECTED
-        assert report.degradations == []
 
 
 class TestSharedStateIsolation:
@@ -170,9 +146,9 @@ class TestSharedStateIsolation:
 
 
 class TestPoolTeardown:
-    """An interrupted or cancelled build must never leak forked workers:
-    run_chunks tears its pool down on every exit path, and the atexit
-    sweep catches pools that escape."""
+    """An interrupted build, or one past its deadline, must never leak
+    forked workers: run_chunks tears its pool down on every exit path, and
+    the atexit sweep catches pools that escape."""
 
     @pytest.fixture(autouse=True)
     def _no_persistent_pool(self):
@@ -188,24 +164,26 @@ class TestPoolTeardown:
         assert _run(CHUNKS, report=report) == EXPECTED
         assert len(parallel._LIVE_POOLS) == 0
 
-    def test_failfast_error_leaves_no_live_pools(self):
-        plan = FaultPlan(seed=3, worker_crash_rate=1.0)
-        with pytest.raises(WorkerCrashError):
-            _run(CHUNKS, plan=plan, fail_fast=True)
+    def test_interrupt_mid_round_leaves_no_live_pools(self, monkeypatch):
+        # A Ctrl-C lands while the round waits on its first future, with
+        # the per-build pool forked: the finally must still tear it down.
+        live = []
+
+        def interrupt(scope, timeout):
+            live.append(len(parallel._LIVE_POOLS))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel, "clamp_timeout", interrupt)
+        # The traceback keeps run_chunks' frame, and so its pool, alive:
+        # only the teardown can take the pool out of _LIVE_POOLS.
+        with pytest.raises(KeyboardInterrupt) as excinfo:
+            _run(CHUNKS)
+        assert excinfo.traceback
+        assert live == [1]
         assert len(parallel._LIVE_POOLS) == 0
         for proc in parallel.multiprocessing.active_children():
             proc.join(timeout=10)
         assert parallel.multiprocessing.active_children() == []
-
-    def test_cancelled_scope_raises_before_any_fork(self):
-        from repro.errors import JobCancelledError
-        from repro.pipeline.cancel import CancelScope
-
-        scope = CancelScope(label="jx")
-        scope.cancel("daemon drain")
-        with pytest.raises(JobCancelledError, match="daemon drain"):
-            _run(CHUNKS, cancel_scope=scope)
-        assert len(parallel._LIVE_POOLS) == 0
 
     def test_expired_deadline_is_typed_and_kills_workers(self):
         from repro.errors import DeadlineExpiredError
@@ -284,10 +262,9 @@ class TestPersistentPool:
         yield
         parallel.shutdown_persistent_pool()
 
-    def _run_persistent(self, *, workers=2, plan=None, report=None,
-                        max_retries=2):
+    def _run_persistent(self, *, workers=2, plan=None, report=None):
         return _run(CHUNKS, workers=workers, plan=plan, report=report,
-                    max_retries=max_retries, persistent=True)
+                    persistent=True)
 
     def test_results_match_per_build_pool(self):
         assert self._run_persistent() == _run(CHUNKS)
@@ -314,8 +291,7 @@ class TestPersistentPool:
         first = parallel._PERSISTENT_POOL
         report = BuildReport()
         plan = FaultPlan(seed=11, worker_crash_rate=1.0)
-        assert self._run_persistent(plan=plan, report=report,
-                                    max_retries=1) == EXPECTED
+        assert self._run_persistent(plan=plan, report=report) == EXPECTED
         assert parallel._PERSISTENT_POOL is not first
         assert any(e.kind == "worker-crash" for e in report.degradations)
 

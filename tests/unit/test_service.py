@@ -13,7 +13,6 @@ import pytest
 from repro.errors import (
     ConfigError,
     DeadlineExpiredError,
-    JobCancelledError,
     ProtocolError,
     QueueFullError,
     ReproError,
@@ -187,12 +186,6 @@ class TestCancelScope:
         time.sleep(0.01)
         with pytest.raises(DeadlineExpiredError, match="llc.*j1"):
             scope.check("llc")
-
-    def test_cancel_raises_typed(self):
-        scope = CancelScope()
-        scope.cancel("drain")
-        with pytest.raises(JobCancelledError, match="drain"):
-            scope.check("link")
 
     def test_clamp_timeout(self):
         scope = CancelScope(deadline_seconds=5.0)
