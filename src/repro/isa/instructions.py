@@ -115,8 +115,6 @@ class Opcode(Enum):
     STRXui = "STRXui"      # src, base, imm
     LDRXroX = "LDRXroX"    # dst, base, idx          load 8 bytes [base + idx*8]
     STRXroX = "STRXroX"    # src, base, idx
-    LDRBroX = "LDRBroX"    # dst, base, idx          load 1 byte  [base + idx]
-    STRBroX = "STRBroX"    # src, base, idx
     LDPXi = "LDPXi"        # r1, r2, base, imm
     STPXi = "STPXi"        # r1, r2, base, imm
     STPXpre = "STPXpre"    # r1, r2, base, imm       pre-index writeback (push pair)
@@ -180,8 +178,6 @@ _DEF_USE: Dict[Opcode, Tuple[Tuple[int, ...], Tuple[int, ...]]] = {
     Opcode.STRXui: ((), (0, 1)),
     Opcode.LDRXroX: ((0,), (1, 2)),
     Opcode.STRXroX: ((), (0, 1, 2)),
-    Opcode.LDRBroX: ((0,), (1, 2)),
-    Opcode.STRBroX: ((), (0, 1, 2)),
     Opcode.LDPXi: ((0, 1), (2,)),
     Opcode.STPXi: ((), (0, 1, 2)),
     Opcode.STPXpre: ((2,), (0, 1, 2)),

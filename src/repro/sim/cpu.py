@@ -7,15 +7,25 @@ functions.  An optional :class:`TimingModel` accumulates cycles.
 The interpreter is strict: reads of undefined memory, type-confused cells
 (int load of a float cell), over-releases, and out-of-range jumps all raise
 — this is what lets the test suite prove outlining preserves semantics.
+
+Instructions are decoded on first fetch.  :meth:`CPU.run` keeps one
+handler per instruction index, built the first time the index executes
+by its opcode's entry in :data:`_DECODERS`.  A handler is a closure over
+everything static about its instruction (register names, immediates, the
+resolved target, the condition and the width); it takes the instruction's
+pc and returns the next pc.  The table is a local of ``run``, so nothing
+of the decode outlives the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.errors import SimulationError, TrapError
 from repro.isa.instructions import Cond, MachineInstr, Opcode
+from repro.isa.registers import XZR
 from repro.link.binary import BinaryImage, HEAP_BASE, STACK_BASE
 from repro.obs import trace as obs_trace
 from repro.runtime.functions import HANDLERS
@@ -29,12 +39,45 @@ _INT_MASK = (1 << 64) - 1
 _TRAP_NAMES = {0: "unreachable", 1: "array index out of range",
                2: "assertion failed", 3: "division by zero", 4: "trap"}
 
+#: What a read of the zero register indexes.  Each handler picks, per
+#: source operand, the register file or this mapping at decode, so reads
+#: of ``xzr`` are 0 without a test at run time.
+_ZERO_REG = MappingProxyType({XZR: 0})
+
+#: A decoded instruction: takes its pc, returns the next pc.
+Handler = Callable[[int], int]
+
 
 def _wrap(value: int) -> int:
     value &= _INT_MASK
     if value >= 1 << 63:
         value -= 1 << 64
     return value
+
+
+def _src(regs: Dict[str, Union[int, float]], reg: str):
+    """The mapping a read of *reg* indexes: xzr reads are folded to 0."""
+    return _ZERO_REG if reg == XZR else regs
+
+
+#: Each condition as a predicate over the ``(n, z, c, v)`` flags.
+_CONDITIONS: Dict[Cond, Callable[[tuple], bool]] = {
+    Cond.EQ: lambda f: f[1],
+    Cond.NE: lambda f: not f[1],
+    Cond.LT: lambda f: f[0] != f[3],
+    Cond.GE: lambda f: f[0] == f[3],
+    Cond.GT: lambda f: (not f[1]) and f[0] == f[3],
+    Cond.LE: lambda f: f[1] or f[0] != f[3],
+    Cond.HS: lambda f: f[2],
+    Cond.LO: lambda f: not f[2],
+}
+
+
+def _condition(cond: Cond) -> Callable[[tuple], bool]:
+    predicate = _CONDITIONS.get(cond)
+    if predicate is None:
+        raise SimulationError(f"unknown condition {cond}")
+    return predicate
 
 
 @dataclass
@@ -82,18 +125,15 @@ class CPU:
         self._outlined_index = self._compute_outlined_indices()
         self._data_lo = image.data_base
         self._data_hi = image.data_end
-        # Variable-width fetch state: address -> instruction index, and the
-        # per-instruction encoded widths.  ``None`` selects the uniform
-        # fixed-width fast path (pc -> index by shift).
+        # Each index's encoded width.  Variable-width fetch maps each
+        # address to its instruction index; ``None`` selects the uniform
+        # fixed-width rule (pc -> index by shift).
+        spec = get_target(image.target_name)
+        self._widths = [spec.instr_bytes(i) for i in image.instrs]
+        self._addr_to_idx: Optional[Dict[int, int]] = None
         if image.instr_addrs is not None:
-            spec = get_target(image.target_name)
-            self._addr_to_idx: Optional[Dict[int, int]] = {
+            self._addr_to_idx = {
                 addr: i for i, addr in enumerate(image.instr_addrs)}
-            self._widths: Optional[List[int]] = [
-                spec.instr_bytes(i) for i in image.instrs]
-        else:
-            self._addr_to_idx = None
-            self._widths = None
 
     def _compute_outlined_indices(self) -> List[bool]:
         flags = [False] * len(self.image.instrs)
@@ -105,37 +145,30 @@ class CPU:
                     flags[i] = True
         return flags
 
-    # -- register access ----------------------------------------------------
+    # -- memory (*pc* is the accessing instruction's, for the message) -------
 
-    def _r(self, reg: str) -> int:
-        if reg == "xzr":
-            return 0
-        return self.regs[reg]  # type: ignore[return-value]
-
-    def _read_int(self, addr: int) -> int:
+    def _read(self, addr: int, pc: int):
+        """Raw read, register class agnostic (pair save/restore)."""
         value = self.memory.get(addr)
         if value is None:
             raise SimulationError(
-                f"read of undefined memory at 0x{addr:x} (pc=0x{self.pc:x})")
+                f"read of undefined memory at 0x{addr:x} (pc=0x{pc:x})")
+        return value
+
+    def _load_int(self, addr: int, pc: int) -> int:
+        value = self._read(addr, pc)
         if isinstance(value, float):
             raise SimulationError(
-                f"integer load of float cell at 0x{addr:x} (pc=0x{self.pc:x})")
+                f"integer load of float cell at 0x{addr:x} (pc=0x{pc:x})")
+        if self.timing is not None and self._data_lo <= addr < self._data_hi:
+            self.timing.on_data_access(addr)
         return value
 
-    def _read_any(self, addr: int):
-        """Raw read for pair save/restore (register class agnostic)."""
-        value = self.memory.get(addr)
-        if value is None:
-            raise SimulationError(
-                f"read of undefined memory at 0x{addr:x} (pc=0x{self.pc:x})")
+    def _load_float(self, addr: int, pc: int) -> float:
+        value = float(self._read(addr, pc))
+        if self.timing is not None and self._data_lo <= addr < self._data_hi:
+            self.timing.on_data_access(addr)
         return value
-
-    def _read_float(self, addr: int) -> float:
-        value = self.memory.get(addr)
-        if value is None:
-            raise SimulationError(
-                f"read of undefined memory at 0x{addr:x} (pc=0x{self.pc:x})")
-        return float(value)
 
     def _write(self, addr: int, value: Union[int, float]) -> None:
         if addr < 0:
@@ -143,18 +176,6 @@ class CPU:
         self.memory[addr] = value
         if self.timing is not None and self._data_lo <= addr < self._data_hi:
             self.timing.on_data_access(addr)
-
-    def _read_mem_int(self, addr: int) -> int:
-        value = self._read_int(addr)
-        if self.timing is not None and self._data_lo <= addr < self._data_hi:
-            self.timing.on_data_access(addr)
-        return value
-
-    def _read_mem_float(self, addr: int) -> float:
-        value = self._read_float(addr)
-        if self.timing is not None and self._data_lo <= addr < self._data_hi:
-            self.timing.on_data_access(addr)
-        return value
 
     # -- flags ------------------------------------------------------------------
 
@@ -175,63 +196,57 @@ class CPU:
             return
         self.flags = (a < b, a == b, a >= b, False)
 
-    def _cond(self, cond: Cond) -> bool:
-        n, z, c, v = self.flags
-        if cond is Cond.EQ:
-            return z
-        if cond is Cond.NE:
-            return not z
-        if cond is Cond.LT:
-            return n != v
-        if cond is Cond.GE:
-            return n == v
-        if cond is Cond.GT:
-            return (not z) and n == v
-        if cond is Cond.LE:
-            return z or n != v
-        if cond is Cond.HS:
-            return c
-        if cond is Cond.LO:
-            return not c
-        raise SimulationError(f"unknown condition {cond}")
-
     # -- execution ---------------------------------------------------------------
 
     def run(self, entry_symbol: Optional[str] = None,
             check_leaks: bool = True) -> ExecutionResult:
-        symbol = entry_symbol or self.image.entry_symbol
-        if symbol is None or symbol not in self.image.symbols:
+        image = self.image
+        symbol = entry_symbol or image.entry_symbol
+        if symbol is None or symbol not in image.symbols:
             raise SimulationError(f"no entry symbol {symbol!r}")
-        self.pc = self.image.symbols[symbol]
         self.regs["x30"] = EXIT_SENTINEL
         self.regs["sp"] = STACK_BASE
-        instrs = self.image.instrs
-        base = self.image.text_base
         timing = self.timing
-        while True:
-            if self.pc == EXIT_SENTINEL:
-                break
-            if self._addr_to_idx is None:
-                idx = (self.pc - base) >> 2
-                if idx < 0 or idx >= len(instrs):
+        on_instr = timing.on_instr if timing is not None else None
+        count = len(image.instrs)
+        base = image.text_base
+        addr_to_idx = self._addr_to_idx
+        widths = self._widths
+        outlined = self._outlined_index
+        max_steps = self.max_steps
+        steps = self.steps
+        outlined_steps = self.outlined_steps
+        # Indexed like image.instrs; an entry is decoded on first fetch.
+        handlers: List[Optional[Handler]] = [None] * count
+        pc = image.symbols[symbol]
+        try:
+            while pc != EXIT_SENTINEL:
+                if addr_to_idx is None:
+                    idx = (pc - base) >> 2
+                    if idx < 0 or idx >= count:
+                        raise SimulationError(
+                            f"pc out of text range: 0x{pc:x}")
+                else:
+                    idx = addr_to_idx.get(pc, -1)
+                    if idx < 0:
+                        raise SimulationError(
+                            f"pc is not an instruction start: 0x{pc:x}")
+                steps += 1
+                if steps > max_steps:
                     raise SimulationError(
-                        f"pc out of text range: 0x{self.pc:x}")
-            else:
-                idx = self._addr_to_idx.get(self.pc, -1)
-                if idx < 0:
-                    raise SimulationError(
-                        f"pc is not an instruction start: 0x{self.pc:x}")
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise SimulationError(
-                    f"step limit exceeded ({self.max_steps})")
-            if self._outlined_index[idx]:
-                self.outlined_steps += 1
-            if timing is not None:
-                timing.on_instr(self.pc,
-                                4 if self._widths is None
-                                else self._widths[idx])
-            self._execute(instrs[idx], idx)
+                        f"step limit exceeded ({max_steps})")
+                if outlined[idx]:
+                    outlined_steps += 1
+                if on_instr is not None:
+                    on_instr(pc, widths[idx])
+                handler = handlers[idx]
+                if handler is None:
+                    handler = handlers[idx] = self._decode(idx)
+                pc = handler(pc)
+        finally:
+            self.pc = pc
+            self.steps = steps
+            self.outlined_steps = outlined_steps
         leaked = self.heap.leaked_objects() if check_leaks else []
         self._record_metrics(leaked)
         return ExecutionResult(
@@ -243,6 +258,13 @@ class CPU:
             heap_stats=self.heap.stats,
             timing=timing,
         )
+
+    def _decode(self, idx: int) -> Handler:
+        instr = self.image.instrs[idx]
+        decoder = _DECODERS.get(instr.opcode)
+        if decoder is None:
+            raise SimulationError(f"unimplemented opcode {instr.opcode}")
+        return decoder(self, instr, idx, self._widths[idx])
 
     def _record_metrics(self, leaked: List[int]) -> None:
         """Publish execution counters to the ambient metrics registry
@@ -270,226 +292,539 @@ class CPU:
 
     # -- native dispatch ----------------------------------------------------------
 
-    def _native(self, addr: int) -> bool:
-        name = self.image.runtime_stubs.get(addr)
-        if name is None:
-            return False
+    def _native_call(self, name: str) -> None:
         handler, cost = HANDLERS[name]
         handler(self)
         if self.timing is not None:
             self.timing.on_native_call(cost)
+
+    def _native(self, addr: int) -> bool:
+        name = self.image.runtime_stubs.get(addr)
+        if name is None:
+            return False
+        self._native_call(name)
         return True
 
-    # -- the big switch --------------------------------------------------------------
 
-    def _execute(self, instr: MachineInstr, idx: int) -> None:
-        op = instr.opcode
-        ops = instr.operands
-        regs = self.regs
-        pc = self.pc
-        next_pc = pc + (4 if self._widths is None else self._widths[idx])
+# -- decoders ---------------------------------------------------------------
+#
+# ``_DECODERS[opcode](cpu, instr, idx, width)`` returns the handler of the
+# instruction at index *idx*.  Reads through ``_src`` are those that fold
+# ``xzr`` to 0; the registers STP and STRXpre store, float operands and the
+# link register are read from the register file directly.
 
-        if op is Opcode.ORRXrs:
-            regs[ops[0]] = self._r(ops[1]) | self._r(ops[2])
-        elif op is Opcode.MOVZXi:
-            regs[ops[0]] = _wrap(ops[1] << ops[2])
-        elif op is Opcode.MOVKXi:
-            old = self._r(ops[0]) & _INT_MASK
-            shift = ops[2]
-            old = (old & ~(0xFFFF << shift)) | (ops[1] << shift)
-            regs[ops[0]] = _wrap(old)
-        elif op is Opcode.MOVNXi:
-            regs[ops[0]] = _wrap(~(ops[1] << ops[2]))
-        elif op is Opcode.ADDXri:
-            regs[ops[0]] = _wrap(self._r(ops[1]) + ops[2])
-        elif op is Opcode.ADDXrr:
-            regs[ops[0]] = _wrap(self._r(ops[1]) + self._r(ops[2]))
-        elif op is Opcode.SUBXri:
-            regs[ops[0]] = _wrap(self._r(ops[1]) - ops[2])
-        elif op is Opcode.SUBXrr:
-            regs[ops[0]] = _wrap(self._r(ops[1]) - self._r(ops[2]))
-        elif op is Opcode.SUBSXri:
-            result = self._set_flags_sub(self._r(ops[1]), ops[2])
-            if ops[0] != "xzr":
-                regs[ops[0]] = result
-        elif op is Opcode.SUBSXrr:
-            result = self._set_flags_sub(self._r(ops[1]), self._r(ops[2]))
-            if ops[0] != "xzr":
-                regs[ops[0]] = result
-        elif op is Opcode.MADDXrrr:
-            regs[ops[0]] = _wrap(
-                self._r(ops[1]) * self._r(ops[2]) + self._r(ops[3]))
-        elif op is Opcode.MSUBXrrr:
-            regs[ops[0]] = _wrap(
-                self._r(ops[3]) - self._r(ops[1]) * self._r(ops[2]))
-        elif op is Opcode.SDIVXrr:
-            a, b = self._r(ops[1]), self._r(ops[2])
-            if b == 0:
-                regs[ops[0]] = 0
-            else:
-                q = abs(a) // abs(b)
-                regs[ops[0]] = _wrap(-q if (a < 0) != (b < 0) else q)
-        elif op is Opcode.ANDXrr:
-            regs[ops[0]] = self._r(ops[1]) & self._r(ops[2])
-        elif op is Opcode.EORXrr:
-            regs[ops[0]] = _wrap(self._r(ops[1]) ^ self._r(ops[2]))
-        elif op is Opcode.LSLVXrr:
-            regs[ops[0]] = _wrap(self._r(ops[1]) << (self._r(ops[2]) & 63))
-        elif op is Opcode.LSRVXrr:
-            regs[ops[0]] = _wrap(
-                (self._r(ops[1]) & _INT_MASK) >> (self._r(ops[2]) & 63))
-        elif op is Opcode.ASRVXrr:
-            regs[ops[0]] = self._r(ops[1]) >> (self._r(ops[2]) & 63)
-        elif op is Opcode.CSETXi:
-            regs[ops[0]] = 1 if self._cond(ops[1]) else 0
-        elif op is Opcode.ADRP:
-            regs[ops[0]] = self.image.resolved_sym[idx] & ~0xFFF
-        elif op is Opcode.ADDlo:
-            regs[ops[0]] = self._r(ops[1]) + (
-                self.image.resolved_sym[idx] & 0xFFF)
-        elif op is Opcode.LDRXui:
-            regs[ops[0]] = self._read_mem_int(self._r(ops[1]) + ops[2])
-        elif op is Opcode.STRXui:
-            self._write(self._r(ops[1]) + ops[2], self._r(ops[0]))
-        elif op is Opcode.LDRXroX:
-            regs[ops[0]] = self._read_mem_int(
-                self._r(ops[1]) + (self._r(ops[2]) << 3))
-        elif op is Opcode.STRXroX:
-            self._write(self._r(ops[1]) + (self._r(ops[2]) << 3),
-                        self._r(ops[0]))
-        elif op is Opcode.LDPXi:
-            addr = self._r(ops[2]) + ops[3]
-            regs[ops[0]] = self._read_any(addr)
-            regs[ops[1]] = self._read_any(addr + 8)
-        elif op is Opcode.STPXi:
-            addr = self._r(ops[2]) + ops[3]
-            self._write(addr, regs[ops[0]])
-            self._write(addr + 8, regs[ops[1]])
-        elif op is Opcode.STPXpre:
-            addr = self._r(ops[2]) + ops[3]
-            if addr < self._stack_limit:
+Decoder = Callable[[CPU, MachineInstr, int, int], Handler]
+_DECODERS: Dict[Opcode, Decoder] = {}
+
+
+def _decodes(*opcodes: Opcode):
+    def register(decoder: Decoder) -> Decoder:
+        for opcode in opcodes:
+            _DECODERS[opcode] = decoder
+        return decoder
+    return register
+
+
+# Integer moves, arithmetic and logic.
+
+@_decodes(Opcode.MOVZXi, Opcode.MOVNXi, Opcode.FMOVDi, Opcode.ADRP)
+def _constant(cpu, instr, idx, width):
+    op, ops = instr.opcode, instr.operands
+    if op is Opcode.MOVZXi:
+        value = _wrap(ops[1] << ops[2])
+    elif op is Opcode.MOVNXi:
+        value = _wrap(~(ops[1] << ops[2]))
+    elif op is Opcode.FMOVDi:
+        value = float(ops[1])
+    else:
+        value = cpu.image.resolved_sym[idx] & ~0xFFF
+    regs, dst = cpu.regs, ops[0]
+
+    def handler(pc):
+        regs[dst] = value
+        return pc + width
+    return handler
+
+
+@_decodes(Opcode.MOVKXi)
+def _movk(cpu, instr, idx, width):
+    dst, imm, shift = instr.operands
+    regs = cpu.regs
+    src = _src(regs, dst)
+    keep = ~(0xFFFF << shift)
+    bits = imm << shift
+
+    def handler(pc):
+        regs[dst] = _wrap((src[dst] & _INT_MASK & keep) | bits)
+        return pc + width
+    return handler
+
+
+@_decodes(Opcode.ADDXri, Opcode.SUBXri)
+def _add_imm(cpu, instr, idx, width):
+    dst, a, imm = instr.operands
+    regs = cpu.regs
+    ra = _src(regs, a)
+    if instr.opcode is Opcode.SUBXri:
+        imm = -imm
+
+    def handler(pc):
+        regs[dst] = _wrap(ra[a] + imm)
+        return pc + width
+    return handler
+
+
+def _sdiv(a: int, b: int) -> int:
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return _wrap(-q if (a < 0) != (b < 0) else q)
+
+
+#: Three-register integer operations, as functions of the two source
+#: values.
+_ALU_RR: Dict[Opcode, Callable[[int, int], int]] = {
+    Opcode.ORRXrs: lambda a, b: a | b,
+    Opcode.ADDXrr: lambda a, b: _wrap(a + b),
+    Opcode.SUBXrr: lambda a, b: _wrap(a - b),
+    Opcode.ANDXrr: lambda a, b: a & b,
+    Opcode.EORXrr: lambda a, b: _wrap(a ^ b),
+    Opcode.LSLVXrr: lambda a, b: _wrap(a << (b & 63)),
+    Opcode.LSRVXrr: lambda a, b: _wrap((a & _INT_MASK) >> (b & 63)),
+    Opcode.ASRVXrr: lambda a, b: a >> (b & 63),
+    Opcode.SDIVXrr: _sdiv,
+}
+
+
+@_decodes(*_ALU_RR)
+def _alu_rr(cpu, instr, idx, width):
+    dst, a, b = instr.operands
+    regs = cpu.regs
+    ra, rb = _src(regs, a), _src(regs, b)
+    fn = _ALU_RR[instr.opcode]
+
+    def handler(pc):
+        regs[dst] = fn(ra[a], rb[b])
+        return pc + width
+    return handler
+
+
+@_decodes(Opcode.MADDXrrr, Opcode.MSUBXrrr)
+def _multiply(cpu, instr, idx, width):
+    dst, a, b, acc = instr.operands
+    regs = cpu.regs
+    ra, rb, rc = _src(regs, a), _src(regs, b), _src(regs, acc)
+    if instr.opcode is Opcode.MADDXrrr:
+        def handler(pc):
+            regs[dst] = _wrap(ra[a] * rb[b] + rc[acc])
+            return pc + width
+    else:
+        def handler(pc):
+            regs[dst] = _wrap(rc[acc] - ra[a] * rb[b])
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.SUBSXri, Opcode.SUBSXrr)
+def _subs(cpu, instr, idx, width):
+    dst, a, b = instr.operands
+    regs = cpu.regs
+    ra = _src(regs, a)
+    out = {} if dst == XZR else regs  # a compare keeps only the flags
+    set_flags_sub = cpu._set_flags_sub
+    if instr.opcode is Opcode.SUBSXri:
+        def handler(pc):
+            out[dst] = set_flags_sub(ra[a], b)
+            return pc + width
+    else:
+        rb = _src(regs, b)
+
+        def handler(pc):
+            out[dst] = set_flags_sub(ra[a], rb[b])
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.CSETXi)
+def _cset(cpu, instr, idx, width):
+    dst, cond = instr.operands
+    regs = cpu.regs
+    holds = _condition(cond)
+
+    def handler(pc):
+        regs[dst] = 1 if holds(cpu.flags) else 0
+        return pc + width
+    return handler
+
+
+@_decodes(Opcode.ADDlo)
+def _add_lo(cpu, instr, idx, width):
+    dst, a = instr.operands[:2]
+    regs = cpu.regs
+    ra = _src(regs, a)
+    offset = cpu.image.resolved_sym[idx] & 0xFFF
+
+    def handler(pc):
+        regs[dst] = ra[a] + offset
+        return pc + width
+    return handler
+
+
+# Memory.
+
+@_decodes(Opcode.LDRXui, Opcode.LDRDui, Opcode.LDRXroX, Opcode.LDRDroX)
+def _load(cpu, instr, idx, width):
+    dst, base, offset = instr.operands
+    regs = cpu.regs
+    rb = _src(regs, base)
+    load = (cpu._load_float if instr.opcode in (Opcode.LDRDui, Opcode.LDRDroX)
+            else cpu._load_int)
+    if instr.opcode in (Opcode.LDRXui, Opcode.LDRDui):
+        def handler(pc):
+            regs[dst] = load(rb[base] + offset, pc)
+            return pc + width
+    else:  # offset is an index register, scaled by 8
+        ri = _src(regs, offset)
+
+        def handler(pc):
+            regs[dst] = load(rb[base] + (ri[offset] << 3), pc)
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.STRXui, Opcode.STRDui)
+def _store_imm(cpu, instr, idx, width):
+    src, base, imm = instr.operands
+    regs = cpu.regs
+    rb = _src(regs, base)
+    write = cpu._write
+    if instr.opcode is Opcode.STRXui:
+        rs = _src(regs, src)
+
+        def handler(pc):
+            write(rb[base] + imm, rs[src])
+            return pc + width
+    else:
+        def handler(pc):
+            write(rb[base] + imm, float(regs[src]))
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.STRXroX, Opcode.STRDroX)
+def _store_indexed(cpu, instr, idx, width):
+    src, base, index = instr.operands
+    regs = cpu.regs
+    rb, ri = _src(regs, base), _src(regs, index)
+    write = cpu._write
+    if instr.opcode is Opcode.STRXroX:
+        rs = _src(regs, src)
+
+        def handler(pc):
+            write(rb[base] + (ri[index] << 3), rs[src])
+            return pc + width
+    else:
+        def handler(pc):
+            write(rb[base] + (ri[index] << 3), float(regs[src]))
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.LDPXi, Opcode.LDPXpost)
+def _load_pair(cpu, instr, idx, width):
+    r1, r2, base, imm = instr.operands
+    regs = cpu.regs
+    rb = _src(regs, base)
+    read = cpu._read
+    if instr.opcode is Opcode.LDPXi:
+        def handler(pc):
+            addr = rb[base] + imm
+            regs[r1] = read(addr, pc)
+            regs[r2] = read(addr + 8, pc)
+            return pc + width
+    else:
+        def handler(pc):
+            addr = rb[base]
+            regs[r1] = read(addr, pc)
+            regs[r2] = read(addr + 8, pc)
+            regs[base] = addr + imm
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.STPXi, Opcode.STPXpre)
+def _store_pair(cpu, instr, idx, width):
+    r1, r2, base, imm = instr.operands
+    regs = cpu.regs
+    rb = _src(regs, base)
+    write = cpu._write
+    if instr.opcode is Opcode.STPXi:
+        def handler(pc):
+            addr = rb[base] + imm
+            write(addr, regs[r1])
+            write(addr + 8, regs[r2])
+            return pc + width
+    else:
+        limit = cpu._stack_limit
+
+        def handler(pc):
+            addr = rb[base] + imm
+            if addr < limit:
                 raise SimulationError("stack overflow")
-            self._write(addr, regs[ops[0]])
-            self._write(addr + 8, regs[ops[1]])
-            regs[ops[2]] = addr
-        elif op is Opcode.LDPXpost:
-            addr = self._r(ops[2])
-            regs[ops[0]] = self._read_any(addr)
-            regs[ops[1]] = self._read_any(addr + 8)
-            regs[ops[2]] = addr + ops[3]
-        elif op is Opcode.STRXpre:
-            addr = self._r(ops[1]) + ops[2]
-            if addr < self._stack_limit:
-                raise SimulationError("stack overflow")
-            self._write(addr, regs[ops[0]])
-            regs[ops[1]] = addr
-        elif op is Opcode.LDRXpost:
-            addr = self._r(ops[1])
-            regs[ops[0]] = self._read_any(addr)
-            regs[ops[1]] = addr + ops[2]
-        elif op is Opcode.FMOVDr:
-            regs[ops[0]] = float(regs[ops[1]])  # type: ignore[arg-type]
-        elif op is Opcode.FMOVDi:
-            regs[ops[0]] = float(ops[1])
-        elif op is Opcode.FADDDrr:
-            regs[ops[0]] = float(regs[ops[1]]) + float(regs[ops[2]])
-        elif op is Opcode.FSUBDrr:
-            regs[ops[0]] = float(regs[ops[1]]) - float(regs[ops[2]])
-        elif op is Opcode.FMULDrr:
-            regs[ops[0]] = float(regs[ops[1]]) * float(regs[ops[2]])
-        elif op is Opcode.FDIVDrr:
-            b = float(regs[ops[2]])
-            if b == 0.0:
-                a = float(regs[ops[1]])
-                regs[ops[0]] = float("nan") if a == 0.0 else (
-                    float("inf") if a > 0 else float("-inf"))
-            else:
-                regs[ops[0]] = float(regs[ops[1]]) / b
-        elif op is Opcode.FSQRTDr:
-            value = float(regs[ops[1]])
-            regs[ops[0]] = value ** 0.5 if value >= 0 else float("nan")
-        elif op is Opcode.FNEGDr:
-            regs[ops[0]] = -float(regs[ops[1]])
-        elif op is Opcode.FCMPDrr:
-            self._set_flags_fcmp(float(regs[ops[0]]), float(regs[ops[1]]))
-        elif op is Opcode.SCVTFDX:
-            regs[ops[0]] = float(self._r(ops[1]))
-        elif op is Opcode.FCVTZSXD:
-            regs[ops[0]] = _wrap(int(float(regs[ops[1]])))
-        elif op is Opcode.LDRDui:
-            regs[ops[0]] = self._read_mem_float(self._r(ops[1]) + ops[2])
-        elif op is Opcode.STRDui:
-            self._write(self._r(ops[1]) + ops[2], float(regs[ops[0]]))
-        elif op is Opcode.LDRDroX:
-            regs[ops[0]] = self._read_mem_float(
-                self._r(ops[1]) + (self._r(ops[2]) << 3))
-        elif op is Opcode.STRDroX:
-            self._write(self._r(ops[1]) + (self._r(ops[2]) << 3),
-                        float(regs[ops[0]]))
-        elif op is Opcode.B:
-            target = self.image.resolved_target[idx]
-            if self.profile is not None and instr.is_tail_call:
-                self.profile.on_call(pc, target)
-            if instr.is_tail_call and self._native(target):
-                # Tail call into the runtime: return to the caller.
-                next_pc = self._r("x30")
-            else:
-                if self.timing is not None:
-                    self.timing.on_uncond_branch(pc, target)
-                next_pc = target
-        elif op is Opcode.Bcc:
-            if self._cond(ops[0]):
-                target = self.image.resolved_target[idx]
-                if self.timing is not None:
-                    self.timing.on_taken_branch(pc, target)
-                next_pc = target
-        elif op is Opcode.CBZX:
-            if self._r(ops[0]) == 0:
-                target = self.image.resolved_target[idx]
-                if self.timing is not None:
-                    self.timing.on_taken_branch(pc, target)
-                next_pc = target
-        elif op is Opcode.CBNZX:
-            if self._r(ops[0]) != 0:
-                target = self.image.resolved_target[idx]
-                if self.timing is not None:
-                    self.timing.on_taken_branch(pc, target)
-                next_pc = target
-        elif op is Opcode.BL:
-            target = self.image.resolved_target[idx]
-            regs["x30"] = next_pc
-            if self.profile is not None:
-                self.profile.on_call(pc, target)
-            if not self._native(target):
-                if self.timing is not None:
-                    self.timing.on_uncond_branch(pc, target)
-                    self.timing.on_call_return()
-                next_pc = target
-        elif op is Opcode.BLR:
-            target = self._r(ops[0])
-            regs["x30"] = next_pc
-            if self.profile is not None:
-                self.profile.on_call(pc, target)
-            if not self._native(target):
-                if self.timing is not None:
-                    self.timing.on_taken_branch(pc, target)
-                    self.timing.on_call_return()
-                next_pc = target
-        elif op is Opcode.RET:
-            target = self._r("x30")
-            if self.timing is not None and target != EXIT_SENTINEL:
-                self.timing.on_return()
-            next_pc = target
-        elif op is Opcode.BRK:
-            code = ops[0] if ops else 0
-            raise TrapError(
-                f"trap: {_TRAP_NAMES.get(code, 'trap')} (pc=0x{pc:x})",
-                code=code)
-        elif op is Opcode.NOP:
-            pass
-        else:  # pragma: no cover
-            raise SimulationError(f"unimplemented opcode {op}")
-        self.pc = next_pc
+            write(addr, regs[r1])
+            write(addr + 8, regs[r2])
+            regs[base] = addr
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.STRXpre)
+def _push(cpu, instr, idx, width):
+    src, base, imm = instr.operands
+    regs = cpu.regs
+    rb = _src(regs, base)
+    write = cpu._write
+    limit = cpu._stack_limit
+
+    def handler(pc):
+        addr = rb[base] + imm
+        if addr < limit:
+            raise SimulationError("stack overflow")
+        write(addr, regs[src])
+        regs[base] = addr
+        return pc + width
+    return handler
+
+
+@_decodes(Opcode.LDRXpost)
+def _pop(cpu, instr, idx, width):
+    dst, base, imm = instr.operands
+    regs = cpu.regs
+    rb = _src(regs, base)
+    read = cpu._read
+
+    def handler(pc):
+        addr = rb[base]
+        regs[dst] = read(addr, pc)
+        regs[base] = addr + imm
+        return pc + width
+    return handler
+
+
+# Floating point.
+
+def _fdiv(a: float, b: float) -> float:
+    if b == 0.0:
+        return float("nan") if a == 0.0 else (
+            float("inf") if a > 0 else float("-inf"))
+    return a / b
+
+
+#: Two-source double operations, as functions of the two values.
+_FPU_RR: Dict[Opcode, Callable[[float, float], float]] = {
+    Opcode.FADDDrr: lambda a, b: a + b,
+    Opcode.FSUBDrr: lambda a, b: a - b,
+    Opcode.FMULDrr: lambda a, b: a * b,
+    Opcode.FDIVDrr: _fdiv,
+}
+
+
+@_decodes(*_FPU_RR)
+def _fpu_rr(cpu, instr, idx, width):
+    dst, a, b = instr.operands
+    regs = cpu.regs
+    fn = _FPU_RR[instr.opcode]
+
+    def handler(pc):
+        regs[dst] = fn(float(regs[a]), float(regs[b]))
+        return pc + width
+    return handler
+
+
+#: One-source conversions and double operations; SCVTFDX reads an integer
+#: register, so its xzr read is folded.
+_FPU_R: Dict[Opcode, Callable] = {
+    Opcode.FMOVDr: float,
+    Opcode.FSQRTDr: lambda v: v ** 0.5 if v >= 0 else float("nan"),
+    Opcode.FNEGDr: lambda v: -v,
+    Opcode.FCVTZSXD: lambda v: _wrap(int(v)),
+}
+
+
+@_decodes(*_FPU_R, Opcode.SCVTFDX)
+def _fpu_r(cpu, instr, idx, width):
+    dst, src = instr.operands
+    regs = cpu.regs
+    if instr.opcode is Opcode.SCVTFDX:
+        rs = _src(regs, src)
+
+        def handler(pc):
+            regs[dst] = float(rs[src])
+            return pc + width
+    else:
+        fn = _FPU_R[instr.opcode]
+
+        def handler(pc):
+            regs[dst] = fn(float(regs[src]))
+            return pc + width
+    return handler
+
+
+@_decodes(Opcode.FCMPDrr)
+def _fcmp(cpu, instr, idx, width):
+    a, b = instr.operands
+    regs = cpu.regs
+    set_flags_fcmp = cpu._set_flags_fcmp
+
+    def handler(pc):
+        set_flags_fcmp(float(regs[a]), float(regs[b]))
+        return pc + width
+    return handler
+
+
+# Control flow.  The profile hooks fire at BL, BLR and tail-call B with the
+# branch's (pc, target); the timing hooks as each branch kind is taken.
+
+@_decodes(Opcode.B)
+def _jump(cpu, instr, idx, width):
+    target = cpu.image.resolved_target[idx]
+    timing, profile = cpu.timing, cpu.profile
+    on_call = (profile.on_call if profile is not None and instr.is_tail_call
+               else None)
+    native = (cpu.image.runtime_stubs.get(target) if instr.is_tail_call
+              else None)
+    if native is not None:  # tail call into the runtime: return to caller
+        regs, native_call = cpu.regs, cpu._native_call
+
+        def handler(pc):
+            if on_call is not None:
+                on_call(pc, target)
+            native_call(native)
+            return regs["x30"]
+        return handler
+
+    on_branch = timing.on_uncond_branch if timing is not None else None
+
+    def handler(pc):
+        if on_call is not None:
+            on_call(pc, target)
+        if on_branch is not None:
+            on_branch(pc, target)
+        return target
+    return handler
+
+
+@_decodes(Opcode.Bcc)
+def _branch_cond(cpu, instr, idx, width):
+    target = cpu.image.resolved_target[idx]
+    holds = _condition(instr.operands[0])
+    timing = cpu.timing
+
+    def handler(pc):
+        if holds(cpu.flags):
+            if timing is not None:
+                timing.on_taken_branch(pc, target)
+            return target
+        return pc + width
+    return handler
+
+
+@_decodes(Opcode.CBZX, Opcode.CBNZX)
+def _branch_zero(cpu, instr, idx, width):
+    target = cpu.image.resolved_target[idx]
+    reg = instr.operands[0]
+    rr = _src(cpu.regs, reg)
+    timing = cpu.timing
+    # CBZ branches when the register is zero, CBNZ when it is not.
+    on_zero = instr.opcode is Opcode.CBZX
+
+    def handler(pc):
+        if (rr[reg] == 0) is on_zero:
+            if timing is not None:
+                timing.on_taken_branch(pc, target)
+            return target
+        return pc + width
+    return handler
+
+
+@_decodes(Opcode.BL)
+def _call(cpu, instr, idx, width):
+    target = cpu.image.resolved_target[idx]
+    regs, timing, profile = cpu.regs, cpu.timing, cpu.profile
+    on_call = profile.on_call if profile is not None else None
+    native = cpu.image.runtime_stubs.get(target)
+    if native is not None:
+        native_call = cpu._native_call
+
+        def handler(pc):
+            regs["x30"] = pc + width
+            if on_call is not None:
+                on_call(pc, target)
+            native_call(native)
+            return pc + width
+        return handler
+
+    def handler(pc):
+        regs["x30"] = pc + width
+        if on_call is not None:
+            on_call(pc, target)
+        if timing is not None:
+            timing.on_uncond_branch(pc, target)
+            timing.on_call_return()
+        return target
+    return handler
+
+
+@_decodes(Opcode.BLR)
+def _call_indirect(cpu, instr, idx, width):
+    reg = instr.operands[0]
+    regs, timing, profile = cpu.regs, cpu.timing, cpu.profile
+    rr = _src(regs, reg)
+    on_call = profile.on_call if profile is not None else None
+    native = cpu._native
+
+    def handler(pc):
+        target = rr[reg]
+        regs["x30"] = pc + width
+        if on_call is not None:
+            on_call(pc, target)
+        if native(target):
+            return pc + width
+        if timing is not None:
+            timing.on_taken_branch(pc, target)
+            timing.on_call_return()
+        return target
+    return handler
+
+
+@_decodes(Opcode.RET)
+def _ret(cpu, instr, idx, width):
+    regs, timing = cpu.regs, cpu.timing
+
+    def handler(pc):
+        target = regs["x30"]
+        if timing is not None and target != EXIT_SENTINEL:
+            timing.on_return()
+        return target
+    return handler
+
+
+@_decodes(Opcode.BRK)
+def _trap(cpu, instr, idx, width):
+    ops = instr.operands
+    code = ops[0] if ops else 0
+    name = _TRAP_NAMES.get(code, "trap")
+
+    def handler(pc):
+        raise TrapError(f"trap: {name} (pc=0x{pc:x})", code=code)
+    return handler
+
+
+@_decodes(Opcode.NOP)
+def _nop(cpu, instr, idx, width):
+    def handler(pc):
+        return pc + width
+    return handler
 
 
 def run_binary(image: BinaryImage, registry: Optional[TypeRegistry] = None,

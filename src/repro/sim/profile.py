@@ -1,10 +1,10 @@
 """Execution profiles for profile-guided function layout.
 
 A :class:`ProfileCollector` rides along on a :class:`~repro.sim.cpu.CPU`
-run and records, at call opcodes only (the fetch/execute loop stays
-uninstrumented), every **caller -> callee call edge** (BL, BLR, and tail
-calls): the input to the C3-style cluster-and-merge layout pass in
-:mod:`repro.link.funclayout`.
+run and records, at call opcodes only (the handlers of BL, BLR and
+tail-call B call it; the fetch loop stays uninstrumented), every
+**caller -> callee call edge**: the input to the C3-style
+cluster-and-merge layout pass in :mod:`repro.link.funclayout`.
 
 The serialized :class:`LayoutProfile` is keyed by *function name*, never
 by address, so a profile collected under one layout is valid input for
@@ -148,7 +148,7 @@ class ProfileCollector:
     def __init__(self) -> None:
         self._call_pairs: Dict[Tuple[int, int], int] = {}
 
-    # -- event hook (called from CPU._execute on call opcodes only) --------
+    # -- event hook (called by the BL, BLR and tail-call B handlers) -------
 
     def on_call(self, src_pc: int, dst_addr: int) -> None:
         key = (src_pc, dst_addr)

@@ -78,7 +78,13 @@ DEVICE_GRID = (
 
 
 class TimingModel:
-    """Accumulates cycles for one execution."""
+    """Accumulates cycles for one execution.
+
+    The icache and iTLB are touched only by :meth:`on_instr`, which
+    remembers the line and the page it touched last: a fetch from either
+    hits the entry that is already most recently used in its set, so it is
+    counted as a hit without walking the set (the LRU order cannot change).
+    """
 
     def __init__(self, config: Optional[DeviceConfig] = None):
         self.config = config or DeviceConfig()
@@ -94,6 +100,8 @@ class TimingModel:
         self.taken_branches = 0
         self.mispredicts = 0
         self._branch_history: Dict[int, int] = {}
+        self._last_line = -1
+        self._last_page = -1
 
     # -- events ------------------------------------------------------------
 
@@ -105,20 +113,30 @@ class TimingModel:
         a no-op there; on compressed targets a 4-byte instruction at a
         2-byte boundary can straddle two lines and both are touched.
         """
+        cfg = self.config
         self.cycles += 1
-        if not self.icache.access(addr):
-            self.cycles += self.config.icache_miss_cycles
+        line = addr // cfg.line_bytes
+        if line == self._last_line:
+            self.icache.hits += 1
+        elif not self.icache.access(addr):
+            self.cycles += cfg.icache_miss_cycles
         last = addr + width - 1
-        if last // self.config.line_bytes != addr // self.config.line_bytes:
+        last_line = last // cfg.line_bytes
+        if last_line != line:
             if not self.icache.access(last):
-                self.cycles += self.config.icache_miss_cycles
+                self.cycles += cfg.icache_miss_cycles
+        self._last_line = last_line
+        page = addr // cfg.page_bytes
+        if page == self._last_page:
+            self.itlb.hits += 1
+            return
+        self._last_page = page
         if not self.itlb.access(addr):
-            self.cycles += self.config.itlb_miss_cycles
-            page = addr // self.config.page_bytes
+            self.cycles += cfg.itlb_miss_cycles
             if page not in self.text_pages:
                 self.text_pages.add(page)
                 self.text_page_faults += 1
-                self.cycles += self.config.text_page_fault_cycles
+                self.cycles += cfg.text_page_fault_cycles
 
     def on_taken_branch(self, src: int, dst: int) -> None:
         """A taken *conditional* branch: predictor history applies."""

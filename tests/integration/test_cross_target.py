@@ -6,8 +6,9 @@ Three claims, each enforced directly:
    ``GOLDEN_CONFIGS`` must match the golden fixtures
    (``tests/fixtures/golden_arm64.json`` / ``golden_thumb2c.json``), with
    ``merge_mode="off"`` pinned so a leaking ``REPRO_MERGE`` can never
-   silently change the baseline.  A mismatch fails loudly, naming every
-   diverging field and how to regenerate on purpose.
+   silently change the baseline, and one timed, profiled simulator run of
+   each must match ``golden_runs.json``.  A mismatch fails loudly, naming
+   every diverging field and how to regenerate on purpose.
 2. **thumb2c is a real variable-width target** — its images carry a
    per-instruction address table, pass the structural verifier
    (alignment padding included), never grow under outlining, and run to
@@ -56,19 +57,38 @@ def golden():
     return {target: _load(target) for target in make_golden.GOLDEN_TARGETS}
 
 
+@pytest.fixture(scope="module")
+def golden_runs():
+    with open(make_golden.RUNS_PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def golden_build(sources):
+    """One build per (target, case), shared by the image and run pins."""
+    built = {}
+
+    def _build(target, case):
+        if (target, case) not in built:
+            built[target, case] = make_golden.build_golden_case(
+                sources, target, case)
+        return built[target, case]
+    return _build
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def assert_matches_golden(target, case, got, want):
+def assert_matches_golden(target, case, got, want,
+                          fields=make_golden.GOLDEN_FIELDS, what="image"):
     """Compare one observation to its golden record, failing loudly with
     every diverging field spelled out."""
     diffs = [f"  {field}: built {got[field]!r}, golden {want[field]!r}"
-             for field in make_golden.GOLDEN_FIELDS
-             if got[field] != want[field]]
+             for field in fields if got[field] != want[field]]
     if diffs:
         pytest.fail(
-            f"{target} image for {case!r} diverged from the golden "
+            f"{target} {what} for {case!r} diverged from the golden "
             "fixture:\n" + "\n".join(diffs) +
             "\nIf this change is intentional, regenerate with\n"
             "  PYTHONPATH=src python tests/fixtures/make_golden.py\n"
@@ -79,9 +99,8 @@ def assert_matches_golden(target, case, got, want):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CONFIGS))
-def test_arm64_bit_identical_to_golden(case, sources, golden):
-    result = build_program(sources, BuildConfig(target="arm64",
-                                                **GOLDEN_CONFIGS[case]))
+def test_arm64_bit_identical_to_golden(case, golden_build, golden):
+    result = golden_build("arm64", case)
     assert_matches_golden("arm64", case, make_golden.observe(result),
                           golden["arm64"][case])
     # The fixed-width target keeps the uniform layout: no address table,
@@ -91,12 +110,24 @@ def test_arm64_bit_identical_to_golden(case, sources, golden):
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CONFIGS))
-def test_thumb2c_bit_identical_to_golden(case, sources, golden):
-    result = build_program(sources, BuildConfig(target="thumb2c",
-                                                **GOLDEN_CONFIGS[case]))
+def test_thumb2c_bit_identical_to_golden(case, golden_build, golden):
+    result = golden_build("thumb2c", case)
     assert_matches_golden("thumb2c", case, make_golden.observe(result),
                           golden["thumb2c"][case])
     assert result.image.instr_addrs is not None
+
+
+@pytest.mark.parametrize("target", make_golden.GOLDEN_TARGETS)
+@pytest.mark.parametrize("case", sorted(GOLDEN_CONFIGS))
+def test_run_identical_to_golden(case, target, golden_build, golden_runs):
+    """The simulator's every observable statistic is pinned per image:
+    output, retired and outlined steps, cycles, icache and iTLB hits and
+    misses, branches, page faults, heap statistics, leaks and the call
+    profile's digest."""
+    assert_matches_golden(target, case,
+                          make_golden.observe_run(golden_build(target, case)),
+                          golden_runs[target][case],
+                          fields=make_golden.RUN_FIELDS, what="run")
 
 
 def test_golden_mismatch_names_every_diverging_field(golden):

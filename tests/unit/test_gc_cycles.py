@@ -1,4 +1,4 @@
-"""Builds form no reference cycles.
+"""Builds and simulator runs form no reference cycles.
 
 Every build runs with CPython's cyclic garbage collector paused
 (``repro.pipeline.build._CollectorPause``), which is only safe if
@@ -9,6 +9,10 @@ cyclic garbage it finds in ``gc.garbage`` instead of freeing it, so an
 empty list after a cold build, a one-function edit and a no-op is the
 contract.  ``workers=1`` keeps the chunk functions in this process, where
 the collector can see them.
+
+A simulator run decodes each instruction it executes into a handler; the
+handlers must die with the run, neither as cyclic garbage nor as state
+parked on the image or its instructions, which later builds would carry.
 """
 
 import gc
@@ -17,6 +21,9 @@ import pytest
 
 from repro.outliner.suffix_tree import SuffixTree
 from repro.pipeline import BuildConfig, build_program
+from repro.sim.cpu import run_binary
+from repro.sim.profile import ProfileCollector
+from repro.sim.timing import TimingModel
 from repro.workloads.appgen import (AppSpec, edit_function,
                                     function_fingerprints, generate_app)
 
@@ -90,3 +97,28 @@ def test_suffix_tree_freed_after_use_leaves_no_cyclic_garbage():
         assert any(r.length >= 3 for r in tree.repeated_substrings())
 
     assert _cyclic_garbage(use) == []
+
+
+@pytest.mark.parametrize("target", ["arm64", "thumb2c"])
+def test_simulator_run_leaves_no_cyclic_garbage_or_state(target):
+    result = build_program(generate_app(SPEC), BuildConfig.preset(
+        "balanced", workers=1, target=target))
+    image = result.image
+
+    def shape():
+        return (sorted(vars(image)),
+                [sorted(vars(instr)) for instr in image.instrs])
+
+    before = shape()
+    runs = []
+
+    def run():
+        collector = ProfileCollector()
+        execution = run_binary(image, registry=result.registry,
+                               timing=TimingModel(), profile=collector)
+        runs.append((execution.steps, collector.raw_transfers))
+
+    assert _cyclic_garbage(run) == []
+    steps, calls = runs[0]
+    assert steps > 1000 and calls > 0
+    assert shape() == before

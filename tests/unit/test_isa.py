@@ -3,6 +3,7 @@
 import pytest
 
 from repro.isa.instructions import (
+    _DEF_USE,
     Cond,
     Label,
     MachineFunction,
@@ -26,6 +27,7 @@ from repro.isa.registers import (
     is_virtual,
     reg_class,
 )
+from repro.sim.cpu import _DECODERS
 
 
 class TestRegisters:
@@ -118,6 +120,12 @@ class TestMachineInstr:
         assert Cond.EQ.negate() is Cond.NE
         assert Cond.HS.negate() is Cond.LO
         assert Cond.LT.negate() is Cond.GE
+
+    def test_every_opcode_has_operands_and_simulator_semantics(self):
+        """An opcode without a def/use row or a simulator decoder would
+        fail only when a program first used it."""
+        assert set(_DEF_USE) == set(Opcode)
+        assert set(_DECODERS) == set(Opcode)
 
 
 class TestContainers:

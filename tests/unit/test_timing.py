@@ -1,5 +1,9 @@
 """Cache/TLB models and the cycle timing model."""
 
+import random
+
+import pytest
+
 from repro.sim.caches import TLB, SetAssociativeCache
 from repro.sim.timing import DEVICE_GRID, DeviceConfig, TimingModel
 
@@ -216,3 +220,72 @@ class TestITLBPageBoundary:
         assert t.text_page_faults == 6, "resident page refaulted"
         # But the second sweep did pay iTLB miss cycles (capacity misses).
         assert t.cycles > faults_cycles + 6
+
+
+class TestRepeatFetchFastPath:
+    """``on_instr`` counts a fetch from the line (or page) it touched last
+    as a hit without touching the set: exact, because that entry is the
+    most recently used one of its set.  A seeded fetch stream must leave
+    the same counts, cycles and LRU contents as bare caches fed every
+    access."""
+
+    @staticmethod
+    def _fetches(seed, count=20_000):
+        rng = random.Random(seed)
+        base, span = 0x1_0000_0000, 1 << 16
+        addr = base
+        for _ in range(count):
+            width = rng.choice((2, 4))
+            kind = rng.random()
+            if kind < 0.25:      # same line again
+                addr = addr - addr % 64 + rng.randrange(0, 64, 2)
+            elif kind < 0.85:    # straight-line code
+                addr += rng.choice((2, 4))
+            elif kind < 0.95:    # far jump
+                addr = base + rng.randrange(0, span, 2)
+            else:                # a fetch that straddles two lines
+                addr = base + rng.randrange(64, span, 64) - 2
+                width = 4
+            yield addr, width
+
+    @staticmethod
+    def _reference(cfg, fetches):
+        """Every access goes to the bare cache and TLB."""
+        icache = SetAssociativeCache(cfg.icache_bytes, cfg.line_bytes,
+                                     cfg.icache_ways)
+        itlb = TLB(cfg.itlb_entries, cfg.page_bytes)
+        cycles, pages = 0, set()
+        for addr, width in fetches:
+            cycles += 1
+            if not icache.access(addr):
+                cycles += cfg.icache_miss_cycles
+            last = addr + width - 1
+            if last // cfg.line_bytes != addr // cfg.line_bytes:
+                if not icache.access(last):
+                    cycles += cfg.icache_miss_cycles
+            if not itlb.access(addr):
+                cycles += cfg.itlb_miss_cycles
+                page = addr // cfg.page_bytes
+                if page not in pages:
+                    pages.add(page)
+                    cycles += cfg.text_page_fault_cycles
+        return icache, itlb, cycles, pages
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("cfg", [DEVICE_GRID[0], DeviceConfig()],
+                             ids=lambda cfg: cfg.name)
+    def test_matches_bare_caches_fed_every_access(self, cfg, seed):
+        fetches = list(self._fetches(seed))
+        t = TimingModel(cfg)
+        for addr, width in fetches:
+            t.on_instr(addr, width)
+        icache, itlb, cycles, pages = self._reference(cfg, fetches)
+        assert (t.icache.hits, t.icache.misses) == (icache.hits,
+                                                    icache.misses)
+        assert (t.itlb.hits, t.itlb.misses) == (itlb.hits, itlb.misses)
+        assert t.icache._sets == icache._sets
+        assert t.itlb._sets == itlb._sets
+        assert (t.cycles, t.text_pages) == (cycles, pages)
+        # The stream exercises every path: repeats, misses, evictions.
+        assert icache.hits > icache.misses > cfg.icache_bytes // 64
+        assert itlb.misses > cfg.itlb_entries
