@@ -18,6 +18,9 @@ into regressions CI can catch:
   checks and lowers one module, so what remains is loading the other
   modules' cache entries, relinking, and storing the new image;
 * peak RSS stays bounded;
+* the warm no-op's image, loaded from the cache, holds exactly one
+  instruction object per distinct ``MachineInstr.key()`` (a count, not a
+  time: a change that loses the sharing fails here);
 * the image runs leak-free, with the same output as the corpus built
   without outlining (its 248 classes need type ids past 255).
 
@@ -83,6 +86,9 @@ def test_scale(tmp_path):
     speedup = cold_wall / noop_wall
     edit_fraction = edit_wall / cold_wall
     peak_rss = _peak_rss_mb()
+    image_instrs = noop.image.instrs
+    distinct_keys = len({instr.key() for instr in image_instrs})
+    distinct_objects = len({id(instr) for instr in image_instrs})
     payload = {
         "schema": "bench-scale/1",
         "corpus": {
@@ -99,6 +105,8 @@ def test_scale(tmp_path):
         "functions_recompiled_per_edit": report.functions_recompiled,
         "llc_cache_misses_per_edit": report.llc_cache_misses,
         "fn_cache_hits_per_edit": report.fn_cache_hits,
+        "image_instrs": len(image_instrs),
+        "image_distinct_instrs": distinct_keys,
         "peak_rss_mb": round(peak_rss, 1),
         "ceilings": {
             "min_noop_speedup": MIN_NOOP_SPEEDUP,
@@ -129,6 +137,10 @@ def test_scale(tmp_path):
     assert edit_fraction <= MAX_EDIT_FRACTION_OF_COLD, (
         f"single-function edit rebuild cost {edit_fraction:.2f} of cold")
     assert peak_rss <= MAX_PEAK_RSS_MB, f"peak RSS {peak_rss:.0f} MB"
+    # One shared object per distinct instruction in the cache-loaded image.
+    assert distinct_objects == distinct_keys < len(image_instrs), (
+        f"{distinct_objects} instruction objects for {distinct_keys} "
+        f"distinct instructions")
 
     ran = run_build(cold)
     assert ran.leaked == []

@@ -3,7 +3,8 @@
 Pipeline per function: phi elimination (out-of-SSA) -> instruction
 selection -> linear-scan register allocation -> frame lowering.  Optionally
 runs N rounds of whole-module machine outlining afterwards — the paper's
-``-outline-repeat-count=N`` flag on llc.
+``-outline-repeat-count=N`` flag on llc.  The module it returns holds one
+shared instruction object per distinct instruction.
 """
 
 from __future__ import annotations
@@ -14,7 +15,12 @@ from typing import List, Optional
 from repro.backend.frame import lower_frame
 from repro.backend.isel import select_function
 from repro.backend.regalloc import allocate_function
-from repro.isa.instructions import MachineFunction, MachineGlobal, MachineModule
+from repro.isa.instructions import (
+    MachineFunction,
+    MachineGlobal,
+    MachineModule,
+    intern_instrs,
+)
 from repro.lir import ir
 from repro.lir.passes import phielim
 from repro.obs import trace
@@ -93,6 +99,9 @@ def run_llc(module: ir.LIRModule,
             stats = repeated_outline(machine, rounds=options.outline_rounds,
                                      name_prefix=options.outlined_name_prefix,
                                      target=spec)
+        # One object per distinct instruction, so the module's llc cache
+        # entry and a worker's result pickle each distinct one once.
+        intern_instrs(machine.functions)
         trace.metrics().inc("llc.modules")
         trace.metrics().inc("llc.functions", len(machine.functions))
     return LLCResult(module=machine, outline_stats=stats)

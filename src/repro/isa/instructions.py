@@ -8,8 +8,11 @@ interpreter all operate on.  It deliberately mirrors LLVM MIR:
   its byte accounting);
 * explicit operands (destination first) plus *implicit* operand lists used
   at call sites, exactly like LLVM's implicit-use/def annotations;
-* instruction identity for outlining = opcode + all operands, which is the
-  analog of ``MachineInstr::isIdenticalTo`` used by LLVM's outliner mapper.
+* immutable instructions with one exact identity, :meth:`MachineInstr.key`
+  (opcode, operands and implicit operand lists, with a float compared by
+  its bit pattern), the analog of ``MachineInstr::isIdenticalTo`` used by
+  LLVM's outliner mapper.  Equal instructions can therefore be one shared
+  object (:func:`intern_instrs`).
 
 The opcode names follow AArch64 MIR spellings (``ORRXrs``, ``STPXpre`` ...)
 so that mined patterns read like the paper's Listings 1-8.
@@ -17,6 +20,7 @@ so that mined patterns read like the paper's Listings 1-8.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -216,14 +220,32 @@ _TERMINATORS = {Opcode.B, Opcode.Bcc, Opcode.CBZX, Opcode.CBNZX, Opcode.RET, Opc
 _CALLS = {Opcode.BL, Opcode.BLR}
 
 
-@dataclass
+def float_bits(value: float) -> bytes:
+    """A float's IEEE-754 bit pattern: ``-0.0`` and ``0.0`` differ."""
+    return struct.pack(">d", value)
+
+
+def _exact_operand(op: Operand) -> object:
+    if op.__class__ is float:
+        return ("f", float_bits(op))
+    if op.__class__ is bool:
+        return ("b", op)
+    return op
+
+
+@dataclass(frozen=True, eq=False)
 class MachineInstr:
-    """A single fixed-width machine instruction.
+    """A single machine instruction, immutable.
 
     ``implicit_uses`` / ``implicit_defs`` carry the call-site register
     conventions (argument registers used, return register defined) in the
     same way LLVM MIR annotates calls; they participate in liveness and in
     outlining pattern identity.
+
+    Equal instructions may be one shared object (an interned module or
+    image holds one object per distinct :meth:`key`), which is why no
+    field can be assigned: a rewrite builds a new instruction with
+    :func:`dataclasses.replace` and stores it at the one index it changes.
     """
 
     opcode: Opcode
@@ -234,8 +256,27 @@ class MachineInstr:
     # -- identity -------------------------------------------------------
 
     def key(self) -> Tuple:
-        """Hashable identity used by the outliner's instruction mapper."""
-        return (self.opcode, self.operands, self.implicit_uses, self.implicit_defs)
+        """Exact identity: equal keys mean the same instruction.
+
+        A float operand compares by its bit pattern and a bool is tagged,
+        so ``-0.0`` and ``0.0`` differ and ``1``, ``1.0`` and ``True``
+        never compare equal, which plain tuple equality would fold.
+        """
+        ops = self.operands
+        for op in ops:
+            cls = op.__class__
+            if cls is float or cls is bool:
+                ops = tuple(map(_exact_operand, ops))
+                break
+        return (self.opcode, ops, self.implicit_uses, self.implicit_defs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not MachineInstr:
+            return NotImplemented
+        return self is other or self.key() == other.key()  # type: ignore[union-attr]
+
+    def __hash__(self) -> int:
+        return hash(self.key())
 
     # -- operand classification ------------------------------------------
 
@@ -460,6 +501,21 @@ class MachineModule:
     @property
     def data_bytes(self) -> int:
         return sum(g.size_bytes for g in self.globals)
+
+
+def intern_instrs(functions: Iterable[MachineFunction]) -> None:
+    """Point every instruction of *functions* at one shared object per
+    distinct :meth:`MachineInstr.key`.
+
+    The table lives for this call only: a table kept for the process would
+    grow for the life of a build daemon.  ``pickle`` writes a shared object
+    once, so an interned module is also a smaller cache entry.
+    """
+    table: Dict[Tuple, MachineInstr] = {}
+    for fn in functions:
+        for blk in fn.blocks:
+            blk.instrs[:] = [table.setdefault(instr.key(), instr)
+                             for instr in blk.instrs]
 
 
 def mov_rr(dst: str, src: str) -> MachineInstr:

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.isa.instructions import INSTR_BYTES, MachineInstr
+from repro.isa.instructions import INSTR_BYTES, MachineInstr, Opcode, Sym
 from repro.target.arm64 import ARM64
 
 TEXT_BASE = 0x1_0000_0000
@@ -29,6 +30,40 @@ PAGE_SIZE = 4096
 RUNTIME_STUB_BASE = 0x0_F000_0000
 STACK_BASE = 0x7_FFFF_F000
 HEAP_BASE = 0x2_0000_0000
+
+
+class Ref(Enum):
+    """What the linker resolves for an instruction (:func:`reference_of`)."""
+
+    NONE = "none"
+    #: A local branch: ``resolved_target`` holds its label's address.
+    LABEL = "label"
+    #: ``BL`` or a tail-call ``B`` through a ``Sym``: ``resolved_target``
+    #: holds the symbol's address.
+    CALL = "call"
+    #: ``ADRP``/``ADDlo`` naming a ``Sym``: ``resolved_sym`` holds its address.
+    ADDR = "addr"
+
+
+def reference_of(instr: MachineInstr) -> Tuple[Ref, Optional[str]]:
+    """The kind of reference *instr* makes, and the label or symbol name.
+
+    A pure function of the instruction, so the linker and the verifier
+    classify each distinct (shared) instruction once, not once per index.
+    """
+    target = instr.branch_target()
+    if target is not None:
+        return Ref.LABEL, target
+    if instr.opcode is Opcode.BL or instr.is_tail_call:
+        sym = instr.operands[0]
+        if isinstance(sym, Sym):
+            return Ref.CALL, sym.name
+        return Ref.NONE, None
+    if instr.opcode in (Opcode.ADRP, Opcode.ADDlo):
+        for op in instr.operands:
+            if isinstance(op, Sym):
+                return Ref.ADDR, op.name
+    return Ref.NONE, None
 
 
 @dataclass
@@ -44,6 +79,8 @@ class FunctionExtent:
 class BinaryImage:
     """A linked, loadable executable."""
 
+    #: One entry per instruction index; the linker makes equal
+    #: instructions one shared object, so an entry is written once.
     instrs: List[MachineInstr] = field(default_factory=list)
     text_base: int = TEXT_BASE
     #: Per-instruction resolved branch/symbol target address (by index).
@@ -124,6 +161,12 @@ class BinaryImage:
         if self.text_end_addr:
             return self.text_end_addr
         return self.text_base + len(self.instrs) * INSTR_BYTES
+
+    @property
+    def uniform_stride(self) -> Optional[int]:
+        """Bytes between consecutive instructions under the uniform
+        fixed-width address rule; ``None`` for a variable-width layout."""
+        return INSTR_BYTES if self.instr_addrs is None else None
 
     def addr_of_index(self, index: int) -> int:
         if self.instr_addrs is not None:

@@ -3,6 +3,7 @@
 Lays out text function-by-function in link order, resolves local labels and
 cross-module symbols, materialises data globals (with immortal object
 headers for const arrays and string literals), and assigns runtime stubs.
+The image holds one shared object per distinct instruction.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ from repro.isa.instructions import (
     INSTR_BYTES,
     MachineFunction,
     MachineGlobal,
+    MachineInstr,
     MachineModule,
-    Opcode,
-    Sym,
 )
 from repro.link.binary import (
     BinaryImage,
@@ -28,10 +28,17 @@ from repro.link.binary import (
     PAGE_SIZE,
     RUNTIME_STUB_BASE,
     TEXT_BASE,
+    Ref,
+    reference_of,
 )
 from repro.obs import trace
 from repro.runtime import layout
 from repro.runtime.names import ALL_RUNTIME_SYMBOLS
+
+
+#: A distinct instruction in the image: its shared object, and what the
+#: linker resolves for it (:func:`~repro.link.binary.reference_of`).
+_Shared = Tuple[MachineInstr, Ref, Optional[str]]
 
 
 def link_binary(modules: Sequence[MachineModule],
@@ -142,13 +149,28 @@ def link_binary(modules: Sequence[MachineModule],
     for name, points in module_extents.items():
         image.data_extent_of_module[name] = (min(points), max(points))
 
-    # Pass 3: flatten instructions and resolve references.
+    # Pass 3: flatten instructions and resolve references.  Equal
+    # instructions become one shared object (one table per link), and
+    # each distinct one is classified once; only the indices that hold a
+    # reference are resolved.  llc output is already interned per module,
+    # so an object seen before skips its key.
+    distinct: Dict[Tuple, _Shared] = {}
+    by_object: Dict[int, _Shared] = {}
+    instrs = image.instrs
     for fn in all_functions:
         for blk in fn.blocks:
             for instr in blk.instrs:
-                idx = len(image.instrs)
-                image.instrs.append(instr)
-                _resolve(image, fn, instr, idx, label_addr)
+                entry = by_object.get(id(instr))
+                if entry is None:
+                    key = instr.key()
+                    entry = distinct.get(key)
+                    if entry is None:
+                        entry = distinct[key] = (instr, *reference_of(instr))
+                    by_object[id(instr)] = entry
+                shared, ref, name = entry
+                if ref is not Ref.NONE:
+                    _resolve(image, fn, ref, name, len(instrs), label_addr)
+                instrs.append(shared)
 
     metrics = trace.metrics()
     if metrics.enabled:
@@ -172,30 +194,21 @@ def _page_align(addr: int) -> int:
     return addr + (PAGE_SIZE - rem) if rem else addr
 
 
-def _resolve(image: BinaryImage, fn: MachineFunction, instr, idx: int,
-             label_addr: Dict[Tuple[str, str], int]) -> None:
-    target = instr.branch_target()
-    if target is not None:
-        key = (fn.name, target)
-        if key not in label_addr:
-            raise LinkError(f"{fn.name}: unresolved local label {target!r}")
-        image.resolved_target[idx] = label_addr[key]
+def _resolve(image: BinaryImage, fn: MachineFunction, ref: Ref, name: str,
+             idx: int, label_addr: Dict[Tuple[str, str], int]) -> None:
+    if ref is Ref.LABEL:
+        addr = label_addr.get((fn.name, name))
+        if addr is None:
+            raise LinkError(f"{fn.name}: unresolved local label {name!r}")
+        image.resolved_target[idx] = addr
         return
-    if instr.opcode is Opcode.BL or instr.is_tail_call:
-        sym = instr.operands[0]
-        if isinstance(sym, Sym):
-            if sym.name not in image.symbols:
-                raise LinkError(f"{fn.name}: undefined symbol {sym.name!r}")
-            image.resolved_target[idx] = image.symbols[sym.name]
-        return
-    if instr.opcode in (Opcode.ADRP, Opcode.ADDlo):
-        for op in instr.operands:
-            if isinstance(op, Sym):
-                if op.name not in image.symbols:
-                    raise LinkError(
-                        f"{fn.name}: undefined symbol {op.name!r}")
-                image.resolved_sym[idx] = image.symbols[op.name]
-                return
+    addr = image.symbols.get(name)
+    if addr is None:
+        raise LinkError(f"{fn.name}: undefined symbol {name!r}")
+    if ref is Ref.CALL:
+        image.resolved_target[idx] = addr
+    else:
+        image.resolved_sym[idx] = addr
 
 
 def _emit_global(image: BinaryImage, gbl: MachineGlobal, addr: int) -> int:

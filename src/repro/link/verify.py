@@ -27,15 +27,21 @@ Checks, in order:
 
 All violations raise :class:`~repro.errors.ImageVerifierError` — a
 structurally wrong binary must never be returned to the caller.
+
+Cost: a linked image holds one shared object per distinct instruction, so
+the checks classify (and, on a variable-width target, size) each distinct
+object once.  Every index that holds a branch, a call or an address is
+still checked against its own resolved address; on a uniform fixed-width
+image the layout walk is arithmetic per extent.
 """
 
 from __future__ import annotations
 
-from typing import List, Union
+from itertools import compress, count
+from typing import Dict, List, Tuple, Union
 
 from repro.errors import ImageVerifierError
-from repro.isa.instructions import Opcode, Sym
-from repro.link.binary import BinaryImage
+from repro.link.binary import BinaryImage, Ref, reference_of
 from repro.obs import trace
 from repro.target import get_target
 from repro.target.spec import TargetSpec
@@ -78,7 +84,20 @@ def _check_text_layout(image: BinaryImage, problems: List[str],
                        spec: TargetSpec) -> None:
     addr = image.text_base
     idx = 0
-    num_instrs = len(image.instrs)
+    instrs = image.instrs
+    num_instrs = len(instrs)
+    # When every instruction is as wide as the image's uniform stride, an
+    # extent's walk is settled by its first instruction's address and a
+    # count.  Otherwise the walk steps by each instruction's width,
+    # computed once per distinct instruction.
+    stride = image.uniform_stride
+    uniform = (stride is not None and spec.is_fixed_width
+               and spec.widths.default_bytes == stride)
+    width_of: Dict[int, int] = {}
+    if not uniform:
+        # Keyed by object: each shared instruction is sized once.
+        for key, instr in dict(zip(map(id, instrs), instrs)).items():
+            width_of[key] = spec.instr_bytes(instr)
     for ext in image.functions:
         expected = spec.align_up(addr)
         if ext.start != expected:
@@ -100,14 +119,26 @@ def _check_text_layout(image: BinaryImage, problems: List[str],
         # Walk the extent instruction by instruction under the target's
         # width model; the extent must cover its instructions exactly.
         fn_addr = ext.start
-        while idx < num_instrs and fn_addr < ext.end:
-            if image.addr_of_index(idx) != fn_addr:
+        if uniform:
+            # The walk's first step decides every later one.
+            if idx < num_instrs and image.addr_of_index(idx) != fn_addr:
                 problems.append(
                     f"instruction {idx} of {ext.name!r} recorded at "
                     f"{image.addr_of_index(idx):#x}, expected {fn_addr:#x}")
                 return
-            fn_addr += spec.instr_bytes(image.instrs[idx])
-            idx += 1
+            steps = min(num_instrs - idx, -(-(ext.end - ext.start) // stride))
+            fn_addr += steps * stride
+            idx += steps
+        else:
+            while idx < num_instrs and fn_addr < ext.end:
+                if image.addr_of_index(idx) != fn_addr:
+                    problems.append(
+                        f"instruction {idx} of {ext.name!r} recorded at "
+                        f"{image.addr_of_index(idx):#x}, expected "
+                        f"{fn_addr:#x}")
+                    return
+                fn_addr += width_of[id(instrs[idx])]
+                idx += 1
         if fn_addr != ext.end:
             problems.append(
                 f"function {ext.name!r} extent [{ext.start:#x}, "
@@ -153,45 +184,66 @@ def _check_symbols(image: BinaryImage, problems: List[str]) -> None:
 
 
 def _check_targets(image: BinaryImage, problems: List[str]) -> None:
+    instrs = image.instrs
     starts = {ext.start for ext in image.functions}
+    stubs = image.runtime_stubs
+    target_of = image.resolved_target.get
+    # Classify each distinct instruction once; the checks below then visit
+    # only the indices that hold a local branch or a direct call, each
+    # against its own resolved target.
+    ids = list(map(id, instrs))
+    labels, calls = set(), set()
+    for key, instr in dict(zip(ids, instrs)).items():
+        ref, _ = reference_of(instr)
+        if ref is Ref.LABEL:
+            labels.add(key)
+        elif ref is Ref.CALL:
+            calls.add(key)
+    checked = labels | calls
+    found: List[Tuple[int, str]] = []  # (index, problem)
     # _check_text_layout has already proven the extents sorted, contiguous
     # and exactly covering the instruction stream, so a single forward walk
-    # replaces a per-instruction function_at() lookup.
-    extents = iter(image.functions)
-    ext = next(extents, None)
-    for idx, instr in enumerate(image.instrs):
-        addr = image.addr_of_index(idx)
-        while ext is not None and addr >= ext.end:
-            ext = next(extents, None)
-        target = image.resolved_target.get(idx)
-        if instr.branch_target() is not None:
+    # over (extent, index one past its end) finds each branch's function.
+    extents = ((ext, image.index_of_addr(ext.end))
+               for ext in image.functions)
+    ext, ext_end = next(extents, (None, 0))
+    is_instr_addr = image.is_instr_addr
+    for idx in compress(count(), map(checked.__contains__, ids)):
+        target = target_of(idx)
+        if ids[idx] in labels:
+            while ext is not None and idx >= ext_end:
+                ext, ext_end = next(extents, (None, 0))
             if target is None:
-                problems.append(
-                    f"branch at {addr:#x} ({instr.render()}) was never "
-                    f"resolved")
+                found.append((idx, f"branch at {image.addr_of_index(idx):#x}"
+                                   f" ({instrs[idx].render()}) was never "
+                                   f"resolved"))
             elif (ext is None or not ext.start <= target < ext.end
-                    or not image.is_instr_addr(target)):
-                problems.append(
-                    f"branch at {addr:#x} targets {target:#x}, outside its "
-                    f"function {ext.name if ext else '?'!r}")
-        elif instr.opcode is Opcode.BL or instr.is_tail_call:
-            if isinstance(instr.operands[0], Sym):
-                if target is None:
-                    problems.append(
-                        f"call at {addr:#x} ({instr.render()}) was never "
-                        f"resolved")
-                elif target not in starts and target not in image.runtime_stubs:
-                    problems.append(
-                        f"call at {addr:#x} targets {target:#x}, which is "
-                        f"neither a function start nor a runtime stub")
-        sym_addr = image.resolved_sym.get(idx)
-        if sym_addr is not None:
-            in_data = image.data_base <= sym_addr < image.data_end
-            if not (in_data or sym_addr in starts
-                    or sym_addr in image.runtime_stubs):
-                problems.append(
-                    f"address materialisation at {addr:#x} resolves to "
-                    f"{sym_addr:#x}, outside data and function starts")
+                    or not is_instr_addr(target)):
+                found.append((idx, f"branch at {image.addr_of_index(idx):#x}"
+                                   f" targets {target:#x}, outside its "
+                                   f"function {ext.name if ext else '?'!r}"))
+        elif target is None:
+            found.append((idx, f"call at {image.addr_of_index(idx):#x} "
+                               f"({instrs[idx].render()}) was never "
+                               f"resolved"))
+        elif target not in starts and target not in stubs:
+            found.append((idx, f"call at {image.addr_of_index(idx):#x} "
+                               f"targets {target:#x}, which is neither a "
+                               f"function start nor a runtime stub"))
+    for idx, sym_addr in image.resolved_sym.items():
+        if (sym_addr is None or not isinstance(idx, int)
+                or not 0 <= idx < len(instrs)):
+            continue
+        in_data = image.data_base <= sym_addr < image.data_end
+        if not (in_data or sym_addr in starts or sym_addr in stubs):
+            found.append((idx, f"address materialisation at "
+                               f"{image.addr_of_index(idx):#x} resolves to "
+                               f"{sym_addr:#x}, outside data and function "
+                               f"starts"))
+    # In text order; the sort is stable, so at one index a branch or call
+    # problem still precedes an address problem.
+    found.sort(key=lambda item: item[0])
+    problems.extend(problem for _, problem in found)
 
 
 def _check_outlined(image: BinaryImage, problems: List[str]) -> None:

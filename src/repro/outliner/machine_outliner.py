@@ -81,16 +81,11 @@ class _Action:
     replacement: List[MachineInstr]
 
 
-def _copy_instr(instr: MachineInstr) -> MachineInstr:
-    return MachineInstr(instr.opcode, instr.operands, instr.implicit_uses,
-                        instr.implicit_defs)
-
-
 def _make_outlined_function(name: str, seq: Sequence[MachineInstr],
                             cls: OutlineClass, round_no: int,
                             spec: TargetSpec) -> MachineFunction:
     lr, sp = spec.regs.lr, spec.regs.sp
-    body = [_copy_instr(i) for i in seq]
+    body = list(seq)  # instructions are immutable, so shared, not copied
     if cls is OutlineClass.THUNK:
         last = body[-1]
         body[-1] = MachineInstr(Opcode.B, last.operands, last.implicit_uses,
@@ -392,7 +387,7 @@ def run_one_round(functions: List[MachineFunction], name_counter: Iterator[int],
             loc = locate(s)
             actions.append(_Action(
                 block=loc.block, start=loc.index, length=length,
-                replacement=[_copy_instr(i) for i in replacement_template]))
+                replacement=replacement_template))
             if index is not None:
                 index.note_rewritten(loc.fn, loc.block)
             for i in range(s, s + length):

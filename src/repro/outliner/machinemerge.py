@@ -26,7 +26,7 @@ pointer identity.
 
 from __future__ import annotations
 
-import struct
+import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from repro.isa.instructions import (
@@ -35,6 +35,7 @@ from repro.isa.instructions import (
     MachineFunction,
     MachineModule,
     Sym,
+    float_bits,
 )
 
 #: Marker classes for callee normalisation inside body keys.
@@ -64,7 +65,7 @@ def _op_key(op) -> Tuple:
         return ("cc", op.value)
     if isinstance(op, float):
         # Bit pattern, not value: -0.0 and 0.0 encode differently.
-        return ("imm-f", struct.pack(">d", op))
+        return ("imm-f", float_bits(op))
     if isinstance(op, bool):
         return ("imm-b", op)
     if isinstance(op, (int, str)):
@@ -174,11 +175,15 @@ def fold_module(module: MachineModule, mode: str = "exact",
                 for i, instr in enumerate(blk.instrs):
                     callee = instr.callee()
                     if callee in remap:
-                        instr.operands = tuple(
+                        # Instructions are shared and immutable: the
+                        # rewrite replaces this index only.
+                        operands = tuple(
                             Sym(remap[callee]) if (isinstance(op, Sym)
                                                    and op.name == callee)
                             else op
                             for op in instr.operands)
+                        blk.instrs[i] = dataclasses.replace(
+                            instr, operands=operands)
     return {"functions_folded": len(remap),
             "instrs_removed": removed_instrs,
             "refinement_iterations": iterations}

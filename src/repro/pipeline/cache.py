@@ -92,7 +92,10 @@ from repro.pipeline.faults import FaultPlan
 #: "7": module entries drop their class layouts (the registry comes from
 #: the headers), and SIL outlining no longer folds a whole-program digest
 #: into every module key.
-PIPELINE_CACHE_VERSION = "7"
+#: "8": instruction identity is exact (a float compares by its bit
+#: pattern), so the outliner no longer folds ``-0.0`` into ``0.0``; llc
+#: and image entries hold one shared object per distinct instruction.
+PIPELINE_CACHE_VERSION = "8"
 
 
 def fingerprint_source(text: str) -> str:

@@ -55,9 +55,22 @@ def _wrap(value: int) -> int:
     return value
 
 
+class _MissingRegister(Exception):
+    """A decoder's source register is not in the register file."""
+
+
 def _src(regs: Dict[str, Union[int, float]], reg: str):
-    """The mapping a read of *reg* indexes: xzr reads are folded to 0."""
-    return _ZERO_REG if reg == XZR else regs
+    """The mapping a read of *reg* indexes: xzr reads are folded to 0.
+
+    A register the file lacks raises :class:`_MissingRegister` here, at
+    decode, which :meth:`CPU._decode` turns into a typed error; no handler
+    tests for it.
+    """
+    if reg == XZR:
+        return _ZERO_REG
+    if reg not in regs:
+        raise _MissingRegister(reg)
+    return regs
 
 
 #: Each condition as a predicate over the ``(n, z, c, v)`` flags.
@@ -264,7 +277,13 @@ class CPU:
         decoder = _DECODERS.get(instr.opcode)
         if decoder is None:
             raise SimulationError(f"unimplemented opcode {instr.opcode}")
-        return decoder(self, instr, idx, self._widths[idx])
+        try:
+            return decoder(self, instr, idx, self._widths[idx])
+        except _MissingRegister as missing:
+            # Decoded at first fetch, so this is the first execution.
+            raise SimulationError(
+                f"read of unknown register {missing.args[0]!r} "
+                f"(pc=0x{self.image.addr_of_index(idx):x})") from None
 
     def _record_metrics(self, leaked: List[int]) -> None:
         """Publish execution counters to the ambient metrics registry
@@ -309,9 +328,9 @@ class CPU:
 # -- decoders ---------------------------------------------------------------
 #
 # ``_DECODERS[opcode](cpu, instr, idx, width)`` returns the handler of the
-# instruction at index *idx*.  Reads through ``_src`` are those that fold
-# ``xzr`` to 0; the registers STP and STRXpre store, float operands and the
-# link register are read from the register file directly.
+# instruction at index *idx*.  Every register operand is read through
+# ``_src``, which folds ``xzr`` to 0 and rejects a register the file lacks;
+# only the link register, always present, is read from the file directly.
 
 Decoder = Callable[[CPU, MachineInstr, int, int], Handler]
 _DECODERS: Dict[Opcode, Decoder] = {}
@@ -505,8 +524,10 @@ def _store_imm(cpu, instr, idx, width):
             write(rb[base] + imm, rs[src])
             return pc + width
     else:
+        rs = _src(regs, src)
+
         def handler(pc):
-            write(rb[base] + imm, float(regs[src]))
+            write(rb[base] + imm, float(rs[src]))
             return pc + width
     return handler
 
@@ -515,17 +536,15 @@ def _store_imm(cpu, instr, idx, width):
 def _store_indexed(cpu, instr, idx, width):
     src, base, index = instr.operands
     regs = cpu.regs
-    rb, ri = _src(regs, base), _src(regs, index)
+    rb, ri, rs = _src(regs, base), _src(regs, index), _src(regs, src)
     write = cpu._write
     if instr.opcode is Opcode.STRXroX:
-        rs = _src(regs, src)
-
         def handler(pc):
             write(rb[base] + (ri[index] << 3), rs[src])
             return pc + width
     else:
         def handler(pc):
-            write(rb[base] + (ri[index] << 3), float(regs[src]))
+            write(rb[base] + (ri[index] << 3), float(rs[src]))
             return pc + width
     return handler
 
@@ -556,23 +575,23 @@ def _load_pair(cpu, instr, idx, width):
 def _store_pair(cpu, instr, idx, width):
     r1, r2, base, imm = instr.operands
     regs = cpu.regs
-    rb = _src(regs, base)
+    ra, rb, rc = _src(regs, r1), _src(regs, r2), _src(regs, base)
     write = cpu._write
     if instr.opcode is Opcode.STPXi:
         def handler(pc):
-            addr = rb[base] + imm
-            write(addr, regs[r1])
-            write(addr + 8, regs[r2])
+            addr = rc[base] + imm
+            write(addr, ra[r1])
+            write(addr + 8, rb[r2])
             return pc + width
     else:
         limit = cpu._stack_limit
 
         def handler(pc):
-            addr = rb[base] + imm
+            addr = rc[base] + imm
             if addr < limit:
                 raise SimulationError("stack overflow")
-            write(addr, regs[r1])
-            write(addr + 8, regs[r2])
+            write(addr, ra[r1])
+            write(addr + 8, rb[r2])
             regs[base] = addr
             return pc + width
     return handler
@@ -582,7 +601,7 @@ def _store_pair(cpu, instr, idx, width):
 def _push(cpu, instr, idx, width):
     src, base, imm = instr.operands
     regs = cpu.regs
-    rb = _src(regs, base)
+    rs, rb = _src(regs, src), _src(regs, base)
     write = cpu._write
     limit = cpu._stack_limit
 
@@ -590,7 +609,7 @@ def _push(cpu, instr, idx, width):
         addr = rb[base] + imm
         if addr < limit:
             raise SimulationError("stack overflow")
-        write(addr, regs[src])
+        write(addr, rs[src])
         regs[base] = addr
         return pc + width
     return handler
@@ -633,16 +652,16 @@ _FPU_RR: Dict[Opcode, Callable[[float, float], float]] = {
 def _fpu_rr(cpu, instr, idx, width):
     dst, a, b = instr.operands
     regs = cpu.regs
+    ra, rb = _src(regs, a), _src(regs, b)
     fn = _FPU_RR[instr.opcode]
 
     def handler(pc):
-        regs[dst] = fn(float(regs[a]), float(regs[b]))
+        regs[dst] = fn(float(ra[a]), float(rb[b]))
         return pc + width
     return handler
 
 
-#: One-source conversions and double operations; SCVTFDX reads an integer
-#: register, so its xzr read is folded.
+#: One-source conversions and double operations.
 _FPU_R: Dict[Opcode, Callable] = {
     Opcode.FMOVDr: float,
     Opcode.FSQRTDr: lambda v: v ** 0.5 if v >= 0 else float("nan"),
@@ -655,9 +674,8 @@ _FPU_R: Dict[Opcode, Callable] = {
 def _fpu_r(cpu, instr, idx, width):
     dst, src = instr.operands
     regs = cpu.regs
+    rs = _src(regs, src)
     if instr.opcode is Opcode.SCVTFDX:
-        rs = _src(regs, src)
-
         def handler(pc):
             regs[dst] = float(rs[src])
             return pc + width
@@ -665,7 +683,7 @@ def _fpu_r(cpu, instr, idx, width):
         fn = _FPU_R[instr.opcode]
 
         def handler(pc):
-            regs[dst] = fn(float(regs[src]))
+            regs[dst] = fn(float(rs[src]))
             return pc + width
     return handler
 
@@ -674,10 +692,11 @@ def _fpu_r(cpu, instr, idx, width):
 def _fcmp(cpu, instr, idx, width):
     a, b = instr.operands
     regs = cpu.regs
+    ra, rb = _src(regs, a), _src(regs, b)
     set_flags_fcmp = cpu._set_flags_fcmp
 
     def handler(pc):
-        set_flags_fcmp(float(regs[a]), float(regs[b]))
+        set_flags_fcmp(float(ra[a]), float(rb[b]))
         return pc + width
     return handler
 

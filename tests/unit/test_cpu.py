@@ -318,6 +318,72 @@ class TestTrapsAndErrors:
             CPU(image).run(entry_symbol="nope")
 
 
+class TestRegisterReads:
+    """Every register operand reads through one rule: ``xzr`` is 0, and a
+    register the file lacks is a typed error naming it and the pc."""
+
+    def _memory_after(self, body):
+        image = assemble(body)
+        cpu = CPU(image)
+        cpu.run(check_leaks=False)
+        return cpu
+
+    def test_store_pair_of_zero_register(self):
+        from repro.link.binary import STACK_BASE
+
+        for opcode in (Opcode.STPXi, Opcode.STPXpre):
+            cpu = self._memory_after([
+                mi(Opcode.MOVZXi, "x1", 5, 0),
+                mi(Opcode.STRXui, "x1", "sp", -16),
+                mi(Opcode.STRXui, "x1", "sp", -8),
+                mi(opcode, "xzr", "xzr", "sp", -16),
+                mi(Opcode.RET),
+            ])
+            assert cpu.memory[STACK_BASE - 16] == 0
+            assert cpu.memory[STACK_BASE - 8] == 0
+
+    def test_push_of_zero_register(self):
+        body = [
+            mi(Opcode.MOVZXi, "x0", 9, 0),
+            mi(Opcode.STRXpre, "xzr", "sp", -16),
+            mi(Opcode.LDRXpost, "x0", "sp", 16),
+            mi(Opcode.RET),
+        ]
+        assert run_and_get(body) == 0
+
+    def test_float_operand_of_zero_register(self):
+        body = [
+            mi(Opcode.FMOVDi, "d1", 2.5),
+            mi(Opcode.FADDDrr, "d0", "d1", "xzr"),
+            mi(Opcode.RET),
+        ]
+        assert run_and_get(body, reg="d0") == 2.5
+
+    @pytest.mark.parametrize("body", [
+        [mi(Opcode.FADDDrr, "d0", "d1", "q9")],
+        [mi(Opcode.STPXi, "x0", "q9", "sp", -16)],
+        [mi(Opcode.STRXpre, "q9", "sp", -16)],
+        [mi(Opcode.ADDXri, "x0", "q9", 1)],
+        [mi(Opcode.FCMPDrr, "q9", "d0")],
+    ], ids=["fadd", "stp", "str-pre", "add", "fcmp"])
+    def test_unknown_register_is_typed(self, body):
+        image = assemble([mi(Opcode.NOP)] + body + [mi(Opcode.RET)])
+        with pytest.raises(SimulationError,
+                           match=rf"'q9' \(pc=0x{image.addr_of_index(1):x}\)"):
+            CPU(image).run(check_leaks=False)
+
+    def test_unknown_register_never_fetched_is_not_an_error(self):
+        fn = MachineFunction(name="main")
+        fn.new_block("entry").instrs.extend([
+            mi(Opcode.MOVZXi, "x0", 3, 0), mi(Opcode.RET)])
+        fn.new_block("dead").append(mi(Opcode.FADDDrr, "d0", "d1", "q9"))
+        image = link_binary([MachineModule(name="m", functions=[fn])],
+                            entry_symbol="main")
+        cpu = CPU(image)
+        cpu.run(check_leaks=False)
+        assert cpu.regs["x0"] == 3
+
+
 class TestRuntimeDispatch:
     def test_native_call_via_bl(self):
         body = [

@@ -1,7 +1,13 @@
-"""ISA model unit tests: registers, instruction metadata, encoding."""
+"""ISA model unit tests: registers, instruction metadata, encoding, and
+the frozen, interned instruction contract."""
+
+import dataclasses
+import math
+import pickle
 
 import pytest
 
+from repro.backend.llc import LLCOptions, run_llc
 from repro.isa.instructions import (
     _DEF_USE,
     Cond,
@@ -11,6 +17,7 @@ from repro.isa.instructions import (
     MachineModule,
     Opcode,
     Sym,
+    intern_instrs,
     is_mov_rr,
     materialize_constant,
     mov_rr,
@@ -126,6 +133,95 @@ class TestMachineInstr:
         fail only when a program first used it."""
         assert set(_DEF_USE) == set(Opcode)
         assert set(_DECODERS) == set(Opcode)
+
+
+class TestExactIdentity:
+    """``key()`` is exact, and ``==`` and ``hash`` agree with it."""
+
+    def test_signed_zeros_differ(self):
+        pos = MachineInstr(Opcode.FMOVDi, ("d0", 0.0))
+        neg = MachineInstr(Opcode.FMOVDi, ("d0", -0.0))
+        assert pos.key() != neg.key()
+        assert pos != neg
+        assert len({pos, neg}) == 2
+        assert len({pos.key(): pos, neg.key(): neg}) == 2
+
+    def test_int_float_and_bool_immediates_differ(self):
+        instrs = [MachineInstr(Opcode.BRK, (imm,)) for imm in (1, 1.0, True)]
+        assert len({instr.key() for instr in instrs}) == 3
+        assert len(set(instrs)) == 3
+
+    def test_equal_instructions_agree(self):
+        a = MachineInstr(Opcode.FMOVDi, ("d1", 2.5))
+        b = MachineInstr(Opcode.FMOVDi, ("d1", 2.5))
+        assert a is not b
+        assert a.key() == b.key() and a == b and hash(a) == hash(b)
+        nan = float("nan")
+        assert (MachineInstr(Opcode.FMOVDi, ("d1", nan)).key()
+                == MachineInstr(Opcode.FMOVDi, ("d1", nan)).key())
+
+    def test_fields_cannot_be_assigned(self):
+        instr = MachineInstr(Opcode.BL, (Sym("f"),), ("x0",), ("x0",))
+        for name in ("opcode", "operands", "implicit_uses", "implicit_defs"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instr, name, getattr(instr, name))
+        moved = dataclasses.replace(instr, operands=(Sym("g"),))
+        assert instr.callee() == "f" and moved.callee() == "g"
+
+
+def _one_object_per_key(instrs):
+    """True when equal instructions are one object and distinct ones are
+    distinct objects."""
+    instrs = list(instrs)
+    by_key = {}
+    for instr in instrs:
+        by_key.setdefault(instr.key(), set()).add(id(instr))
+    return (all(len(ids) == 1 for ids in by_key.values())
+            and len({id(instr) for instr in instrs}) == len(by_key))
+
+
+def _module_instrs(module):
+    return [instr for fn in module.functions for instr in fn.instructions()]
+
+
+class TestInterning:
+    SOURCE = """
+    func f(x: Int) -> Int { return x * 3 + 1 }
+    func g(x: Int) -> Int { return x * 3 + 1 }
+    func h(x: Double) -> Double { return x * -0.0 + 0.0 }
+    func main() {
+        print(f(x: 2) + g(x: 3))
+        print(h(x: 1.5))
+    }
+    """
+
+    def _lir(self):
+        from repro.pipeline import compile_frontend
+
+        return compile_frontend({"T": self.SOURCE}).lir_modules[0]
+
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_llc_result_shares_equal_instructions(self, rounds):
+        module = run_llc(self._lir(), LLCOptions(outline_rounds=rounds)).module
+        instrs = _module_instrs(module)
+        assert len({id(i) for i in instrs}) < len(instrs)
+        assert _one_object_per_key(instrs)
+        copy = pickle.loads(pickle.dumps(module))
+        assert _one_object_per_key(_module_instrs(copy))
+        assert ([i.key() for i in _module_instrs(copy)]
+                == [i.key() for i in instrs])
+
+    def test_intern_keeps_order_and_signed_zeros(self):
+        fn = MachineFunction(name="f")
+        blk = fn.new_block("entry")
+        blk.instrs.extend([MachineInstr(Opcode.FMOVDi, ("d0", 0.0)),
+                           MachineInstr(Opcode.FMOVDi, ("d0", -0.0)),
+                           MachineInstr(Opcode.FMOVDi, ("d0", 0.0)),
+                           MachineInstr(Opcode.RET)])
+        intern_instrs([fn])
+        zero, neg, zero2, _ = blk.instrs
+        assert zero is zero2 and neg is not zero
+        assert math.copysign(1.0, neg.operands[1]) == -1.0
 
 
 class TestContainers:

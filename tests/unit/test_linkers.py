@@ -1,5 +1,8 @@
 """IR linker (llvm-link analog) and system linker / binary image tests."""
 
+import math
+import pickle
+
 import pytest
 
 from repro.errors import GCMetadataConflict, LinkError
@@ -193,3 +196,64 @@ class TestSystemLinker:
         lo, hi = image.data_extent_of_module["m"]
         assert lo == image.symbols["m::g"]
         assert hi > lo
+
+
+def _one_object_per_key(instrs):
+    by_key = {}
+    for instr in instrs:
+        by_key.setdefault(instr.key(), set()).add(id(instr))
+    return (all(len(ids) == 1 for ids in by_key.values())
+            and len({id(instr) for instr in instrs}) == len(by_key))
+
+
+class TestSharedInstructions:
+    """The image holds one frozen object per distinct instruction, made
+    by a table that lives for one link."""
+
+    @pytest.fixture(scope="class")
+    def sources(self):
+        from repro.workloads.appgen import AppSpec, generate_app
+
+        return generate_app(AppSpec(base_features=2, num_vendors=1))
+
+    def _build(self, sources):
+        from repro.pipeline import BuildConfig, build_program
+
+        # Per-module llc: the image meets modules from separate llc calls.
+        return build_program(sources, BuildConfig(pipeline="default",
+                                                  outline_rounds=1))
+
+    def test_image_holds_one_object_per_key(self, sources):
+        image = self._build(sources).image
+        assert len({id(i) for i in image.instrs}) < len(image.instrs) / 2
+        assert _one_object_per_key(image.instrs)
+        copy = pickle.loads(pickle.dumps(image))
+        assert _one_object_per_key(copy.instrs)
+        assert copy.text_section() == image.text_section()
+
+    def test_signed_zeros_stay_distinct(self):
+        fn = MachineFunction(name="main")
+        fn.new_block("entry").instrs.extend([
+            MachineInstr(Opcode.FMOVDi, ("d0", 0.0)),
+            MachineInstr(Opcode.FMOVDi, ("d0", -0.0)),
+            MachineInstr(Opcode.FMOVDi, ("d0", 0.0)),
+            MachineInstr(Opcode.FMOVDi, ("d0", -0.0)),
+            MachineInstr(Opcode.RET),
+        ])
+        image = link_binary([MachineModule(name="m", functions=[fn])],
+                            entry_symbol="main")
+        zero, neg, zero2, neg2, _ = image.instrs
+        assert zero is zero2 and neg is neg2 and zero is not neg
+        assert [math.copysign(1.0, i.operands[1]) for i in image.instrs[:4]] \
+            == [1.0, -1.0, 1.0, -1.0]
+
+    def test_builds_share_no_instruction_object(self, sources):
+        first = self._build(sources)
+        second = self._build(sources)
+        assert first.image.text_section() == second.image.text_section()
+        ids = {id(i) for i in first.image.instrs}
+        assert ids.isdisjoint(id(i) for i in second.image.instrs)
+        for a, b in zip(first.machine_modules, second.machine_modules):
+            mine = {id(i) for fn in a.functions for i in fn.instructions()}
+            assert mine.isdisjoint(
+                id(i) for fn in b.functions for i in fn.instructions())

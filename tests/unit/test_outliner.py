@@ -3,6 +3,7 @@ repeated rounds, statistics pass."""
 
 import copy
 import itertools
+import math
 
 from repro.isa.instructions import (
     Label,
@@ -105,6 +106,54 @@ class TestMapper:
         fa.new_block("entry").instrs.extend([a, b])
         program = mapper.map_functions([fa])
         assert program.ids[0] != program.ids[1]
+
+
+    def test_signed_zeros_map_to_different_ids(self):
+        """Tuple equality says -0.0 == 0.0; the mapper must not."""
+        fa = MachineFunction(name="fa")
+        fa.new_block("entry").instrs.extend([
+            mi(Opcode.FMOVDi, "d2", 0.0), mi(Opcode.FMOVDi, "d2", -0.0),
+            mi(Opcode.FMOVDi, "d2", 0.0)])
+        ids = InstructionMapper().map_functions([fa]).ids
+        assert ids[0] == ids[2] != ids[1]
+
+
+class TestSignedZeroProgram:
+    """Regression: at one outlining round ``p*`` and ``n*`` below used to
+    become one outlined body holding ``FMOVDi $d2, 0.0``, and the image's
+    ``-0.0`` constants were gone."""
+
+    SOURCE = """
+    func p1(x: Double, y: Double) -> Double { return (x * 0.0 + y) * 3.25 }
+    func p2(x: Double, y: Double) -> Double { return (x * 0.0 + y) * 3.25 }
+    func n1(x: Double, y: Double) -> Double { return (x * -0.0 + y) * 3.25 }
+    func n2(x: Double, y: Double) -> Double { return (x * -0.0 + y) * 3.25 }
+    func main() {
+        print(p1(x: 1.5, y: 2.0))
+        print(p2(x: 2.5, y: 1.0))
+        print(n1(x: 1.5, y: 2.0))
+        print(n2(x: 2.5, y: 1.0))
+    }
+    """
+
+    @staticmethod
+    def _negative_zeros(image):
+        return sum(1 for instr in image.instrs
+                   if instr.opcode is Opcode.FMOVDi
+                   and instr.operands[1] == 0.0
+                   and math.copysign(1.0, instr.operands[1]) < 0)
+
+    def test_outlining_keeps_negative_zero_constants(self):
+        from repro.pipeline import BuildConfig, build_program, run_build
+
+        plain = build_program({"Main": self.SOURCE},
+                              BuildConfig(outline_rounds=0))
+        outlined = build_program({"Main": self.SOURCE},
+                                 BuildConfig(outline_rounds=1))
+        assert self._negative_zeros(plain.image) == 2
+        assert self._negative_zeros(outlined.image) == 2
+        assert any(ext.is_outlined for ext in outlined.image.functions)
+        assert run_build(outlined).output == run_build(plain).output
 
 
 class TestCostModel:

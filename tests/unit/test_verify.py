@@ -145,6 +145,61 @@ def test_outlined_fallthrough_is_caught(image):
         verify_image(img)
 
 
+class TestSharedInstructions:
+    """The image holds one object per distinct instruction, and the
+    verifier classifies each object once; every index that holds one must
+    still be checked against its own resolved target."""
+
+    def _second_index(self, img, wanted):
+        """The second index of the first shared object that *wanted*
+        accepts at two or more of its indices."""
+        seen = {}
+        for idx, instr in enumerate(img.instrs):
+            if wanted(img, idx, instr):
+                if id(instr) in seen:
+                    assert img.instrs[seen[id(instr)]] is instr
+                    return idx
+                seen[id(instr)] = idx
+        raise AssertionError("no shared instruction of that kind")
+
+    @staticmethod
+    def _branch(img, idx, instr):
+        return instr.branch_target() is not None and idx in img.resolved_target
+
+    @staticmethod
+    def _call_into_text(img, idx, instr):
+        target = img.resolved_target.get(idx)
+        return (instr.is_call and target is not None
+                and target >= img.text_base
+                and target + 4 not in {ext.start for ext in img.functions})
+
+    def test_unresolved_second_branch_is_caught(self, image):
+        img = _reload(image)
+        del img.resolved_target[self._second_index(img, self._branch)]
+        with pytest.raises(ImageVerifierError, match="never resolved"):
+            verify_image(img)
+
+    def test_flipped_second_branch_is_caught(self, image):
+        img = _reload(image)
+        idx = self._second_index(img, self._branch)
+        img.resolved_target[idx] = img.text_base + len(img.instrs) * 16
+        with pytest.raises(ImageVerifierError, match="branch"):
+            verify_image(img)
+
+    def test_second_call_site_mid_function_is_caught(self, image):
+        img = _reload(image)
+        idx = self._second_index(img, self._call_into_text)
+        img.resolved_target[idx] += 4  # mid-function, not a start
+        with pytest.raises(ImageVerifierError, match="call"):
+            verify_image(img)
+
+    def test_unresolved_second_call_site_is_caught(self, image):
+        img = _reload(image)
+        del img.resolved_target[self._second_index(img, self._call_into_text)]
+        with pytest.raises(ImageVerifierError, match="never resolved"):
+            verify_image(img)
+
+
 class TestCachedImageVerification:
     """The acceptance criterion: a corrupted *cached* image must be caught
     before build_program returns it."""
