@@ -460,7 +460,7 @@ def _add_build_args(parser) -> None:
                         help="reuse the content-addressed build cache")
     parser.add_argument("--cache-dir", default=None,
                         help="cache location (default: $REPRO_CACHE_DIR "
-                             "or a tempdir)")
+                             "or a per-checkout tempdir)")
     parser.add_argument("--inject-faults", default=None, metavar="SPEC",
                         help="seeded fault injection, e.g. "
                              "'seed=7,crash=0.3,corrupt=1' (keys: "

@@ -3,8 +3,9 @@
 Pipeline per function: phi elimination (out-of-SSA) -> instruction
 selection -> linear-scan register allocation -> frame lowering.  Optionally
 runs N rounds of whole-module machine outlining afterwards — the paper's
-``-outline-repeat-count=N`` flag on llc.  The module it returns holds one
-shared instruction object per distinct instruction.
+``-outline-repeat-count=N`` flag on llc.  The outliner sees, and the
+module it returns holds, one shared instruction object per distinct
+instruction.
 """
 
 from __future__ import annotations
@@ -96,6 +97,10 @@ def run_llc(module: ir.LIRModule,
         if options.outline_rounds > 0:
             from repro.outliner.repeated import repeated_outline
 
+            # The outliner's mapper classifies each instruction object
+            # once, so an interned module is classified once per distinct
+            # instruction rather than once per index.
+            intern_instrs(machine.functions)
             stats = repeated_outline(machine, rounds=options.outline_rounds,
                                      name_prefix=options.outlined_name_prefix,
                                      target=spec)

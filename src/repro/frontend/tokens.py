@@ -87,6 +87,11 @@ class TokenKind(Enum):
     SEMI = auto()
     EOF = auto()
 
+    # Members are singletons compared by identity: hash them the same way,
+    # in C, so the lexer's and parser's token tables probe without a
+    # Python-level call to Enum's hash of the name.
+    __hash__ = object.__hash__
+
 
 KEYWORDS = {
     "func": TokenKind.KW_FUNC,

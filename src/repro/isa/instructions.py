@@ -64,6 +64,10 @@ class Cond(Enum):
     HS = "hs"  # unsigned >= (used by inline array bounds checks)
     LO = "lo"  # unsigned <
 
+    # Members are singletons compared by identity: hash them the same way,
+    # in C, instead of through Enum's Python-level hash of the name.
+    __hash__ = object.__hash__
+
     def negate(self) -> "Cond":
         return _NEGATE[self]
 
@@ -153,6 +157,10 @@ class Opcode(Enum):
     RET = "RET"            # implicit use of lr
     BRK = "BRK"            # imm                     trap
     NOP = "NOP"
+
+    # Hashed by identity, like Cond: every keyed table of opcodes or of
+    # instruction keys probes without a Python-level call.
+    __hash__ = object.__hash__
 
 
 # (def operand indices, use operand indices) for explicit operands.
@@ -278,29 +286,57 @@ class MachineInstr:
     def __hash__(self) -> int:
         return hash(self.key())
 
+    def __getstate__(self) -> Dict[str, object]:
+        # The four fields only: the register facts cached below are derived,
+        # so no pickle or copy carries them.
+        return {"opcode": self.opcode, "operands": self.operands,
+                "implicit_uses": self.implicit_uses,
+                "implicit_defs": self.implicit_defs}
+
     # -- operand classification ------------------------------------------
+
+    # Register facts, computed by the first defs() or uses() call and then
+    # stored on the instance.  They are not fields (unannotated), so they
+    # are never compared, hashed or pickled.  An instruction is immutable,
+    # so they never go stale; most are never asked, so construction does
+    # not compute them.
+    _defs = None
+    _uses = None
 
     def defs(self) -> Tuple[str, ...]:
         """Registers (incl. nzcv) written by this instruction."""
-        idxs, _ = _DEF_USE[self.opcode]
-        out = [self.operands[i] for i in idxs if isinstance(self.operands[i], str)]
-        out.extend(self.implicit_defs)
-        if self.opcode in _SETS_FLAGS:
-            out.append(NZCV)
-        if self.opcode in _CALLS:
-            out.append(LR)
-        return tuple(r for r in out if r != XZR)
+        defs = self._defs
+        if defs is None:
+            defs = self._register_facts()[0]
+        return defs
 
     def uses(self) -> Tuple[str, ...]:
         """Registers (incl. nzcv) read by this instruction."""
-        _, idxs = _DEF_USE[self.opcode]
-        out = [self.operands[i] for i in idxs if isinstance(self.operands[i], str)]
-        out.extend(self.implicit_uses)
-        if self.opcode in _READS_FLAGS:
-            out.append(NZCV)
-        if self.opcode is Opcode.RET:
-            out.append(LR)
-        return tuple(r for r in out if r != XZR)
+        uses = self._uses
+        if uses is None:
+            uses = self._register_facts()[1]
+        return uses
+
+    def _register_facts(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
+        opcode, operands = self.opcode, self.operands
+        def_idxs, use_idxs = _DEF_USE[opcode]
+        defs = [operands[i] for i in def_idxs if isinstance(operands[i], str)]
+        defs.extend(self.implicit_defs)
+        if opcode in _SETS_FLAGS:
+            defs.append(NZCV)
+        if opcode in _CALLS:
+            defs.append(LR)
+        uses = [operands[i] for i in use_idxs if isinstance(operands[i], str)]
+        uses.extend(self.implicit_uses)
+        if opcode in _READS_FLAGS:
+            uses.append(NZCV)
+        if opcode is Opcode.RET:
+            uses.append(LR)
+        facts = (tuple(r for r in defs if r != XZR),
+                 tuple(r for r in uses if r != XZR))
+        object.__setattr__(self, "_defs", facts[0])
+        object.__setattr__(self, "_uses", facts[1])
+        return facts
 
     # -- predicates -------------------------------------------------------
 

@@ -79,10 +79,19 @@ def function_saves_lr(fn: MachineFunction) -> bool:
 
 
 class InstructionMapper:
-    """Builds the flat integer string for one outlining round."""
+    """Builds the flat integer string for one outlining round.
+
+    Each instruction *object* is classified once per mapper: its legality
+    and its legal id are facts of one immutable object, so an interned
+    module (one object per distinct instruction) pays for them once per
+    distinct instruction, not once per index and round.
+    """
 
     def __init__(self) -> None:
         self._intern: Dict[Tuple, int] = {}
+        #: id(instr) -> (instr, legal id or 0).  An entry holds its object,
+        #: so no other object can take that id while the mapper lives.
+        self._objects: Dict[int, Tuple[MachineInstr, int]] = {}
         self._next_legal = 1
         self._next_unique = -2  # -1 reserved for the suffix-tree terminator
 
@@ -98,6 +107,25 @@ class InstructionMapper:
         self._next_unique -= 1
         return uid
 
+    def map_block(self, instrs: Sequence[MachineInstr]) -> List[int]:
+        """One id per instruction: its legal id, or a fresh unique id.
+
+        Illegal instructions draw a unique id per index, in index order,
+        whether or not their object was seen before.
+        """
+        objects = self._objects
+        ids = []
+        for instr in instrs:
+            entry = objects.get(id(instr))
+            if entry is None:
+                legal = (self._legal_id(instr) if is_legal_to_outline(instr)
+                         else 0)
+                objects[id(instr)] = (instr, legal)
+            else:
+                legal = entry[1]
+            ids.append(legal or self._unique_id())
+        return ids
+
     def map_functions(self,
                       functions: Sequence[MachineFunction]) -> MappedProgram:
         program = MappedProgram()
@@ -106,13 +134,11 @@ class InstructionMapper:
             if fn.is_outlined or not function_saves_lr(fn):
                 lr_live.add(fn.name)
             for block in fn.blocks:
-                for index, instr in enumerate(block.instrs):
-                    if is_legal_to_outline(instr):
-                        program.ids.append(self._legal_id(instr))
-                    else:
-                        program.ids.append(self._unique_id())
-                    program.locations.append(MappedLocation(fn, block, index))
-                    program.instrs.append(instr)
+                program.ids.extend(self.map_block(block.instrs))
+                program.locations.extend(
+                    MappedLocation(fn, block, index)
+                    for index in range(len(block.instrs)))
+                program.instrs.extend(block.instrs)
                 # Block boundary separator.
                 program.ids.append(self._unique_id())
                 program.locations.append(None)

@@ -35,7 +35,6 @@ from repro.outliner.candidates import (
     MappedLocation,
     MappedProgram,
     function_saves_lr,
-    is_legal_to_outline,
     prune_overlaps,
     sequence_uses_sp,
 )
@@ -193,10 +192,8 @@ class OutlineIndex:
         old = self._seg_of_block.get(id(block))
         if old is not None:
             self._kill_segment(old)
-        mapper = self.mapper
-        ids = [mapper._legal_id(i) if is_legal_to_outline(i)
-               else mapper._unique_id() for i in block.instrs]
-        ids.append(mapper._unique_id())
+        ids = self.mapper.map_block(block.instrs)
+        ids.append(self.mapper._unique_id())
         start = len(self.tree.seq)
         self.tree.extend(ids)
         self.live.extend(b"\x01" * len(ids))

@@ -222,11 +222,22 @@ def llc_key(module_key: str, llc_fingerprint: str) -> str:
 # --- on-disk store -----------------------------------------------------------
 
 
+#: The absolute path of the ``repro`` package this module belongs to.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 def default_cache_dir() -> str:
+    """``$REPRO_CACHE_DIR``, else a per-checkout tempdir.
+
+    :data:`PIPELINE_CACHE_VERSION` is the only code identity in the keys,
+    so two checkouts with one version but different code must not share a
+    cache: the default is named after the package directory it serves.
+    """
     env = os.environ.get("REPRO_CACHE_DIR")
     if env:
         return env
-    return os.path.join(tempfile.gettempdir(), "repro-pipeline-cache")
+    tag = hashlib.sha256(_PACKAGE_DIR.encode()).hexdigest()[:12]
+    return os.path.join(tempfile.gettempdir(), f"repro-pipeline-cache-{tag}")
 
 
 @dataclass

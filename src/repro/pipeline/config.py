@@ -209,7 +209,7 @@ class BuildConfig:
     workers: int = _stage("speed", 1, minimum=0)
     #: Consult/populate the content-addressed build cache.
     incremental: bool = _stage("speed", False)
-    #: Cache location; None = $REPRO_CACHE_DIR or a tempdir default.
+    #: Cache location; None = $REPRO_CACHE_DIR or a per-checkout tempdir.
     cache_dir: Optional[str] = _stage("speed", None)
     #: Keep the forked worker pool alive across builds in this process
     #: (daemon / batch use) instead of fork+teardown per build.  Either

@@ -43,6 +43,7 @@ import collections
 import json
 import os
 import queue
+import socket
 import threading
 import time
 import uuid
@@ -628,6 +629,11 @@ class BuildService:
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
             daemon_threads = True
+            # Every client of a burst gets its answer (a job or typed
+            # backpressure) at once.  socketserver's default backlog of 5
+            # drops the rest of a burst's connections, and the kernel
+            # retries each only after its 1 s SYN timeout.
+            request_queue_size = socket.SOMAXCONN
 
         self._server = _Server((host, port), _Handler)
         bound_host, bound_port = self._server.server_address[:2]

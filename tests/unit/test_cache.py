@@ -6,6 +6,7 @@ and advisory locking for concurrent builds sharing one cache dir."""
 import glob
 import multiprocessing
 import os
+import tempfile
 import threading
 import time
 from dataclasses import fields, is_dataclass
@@ -145,6 +146,40 @@ class TestModuleKeys:
                 assert meta.class_count == len(module.classes), name
                 closures += meta.closure_count
         assert closures > 0  # the corpora exercise the count
+
+
+class TestDefaultCacheDir:
+    """Keys carry no code identity but PIPELINE_CACHE_VERSION, so two
+    checkouts must not share the default cache directory."""
+
+    A = os.path.join(os.sep, "work", "a", "src", "repro")
+    B = os.path.join(os.sep, "work", "b", "src", "repro")
+
+    @staticmethod
+    def _default_for(monkeypatch, package_dir):
+        monkeypatch.setattr(cache_mod, "_PACKAGE_DIR", package_dir)
+        return cache_mod.default_cache_dir()
+
+    def test_two_package_dirs_get_two_defaults(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        a = self._default_for(monkeypatch, self.A)
+        b = self._default_for(monkeypatch, self.B)
+        assert a != b
+        assert os.path.dirname(a) == os.path.dirname(b) \
+            == tempfile.gettempdir()
+
+    def test_one_package_dir_always_gets_one_default(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        here = cache_mod.default_cache_dir()
+        assert os.path.dirname(here) == tempfile.gettempdir()
+        assert cache_mod.default_cache_dir() == here
+        assert (self._default_for(monkeypatch, self.A)
+                == self._default_for(monkeypatch, self.A) != here)
+
+    def test_env_still_wins(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert cache_mod.default_cache_dir() == str(tmp_path)
+        assert self._default_for(monkeypatch, self.A) == str(tmp_path)
 
 
 class TestModuleCacheStore:

@@ -1,15 +1,22 @@
 """ISA model unit tests: registers, instruction metadata, encoding, and
 the frozen, interned instruction contract."""
 
+import copy
 import dataclasses
 import math
 import pickle
+import sys
 
 import pytest
 
 from repro.backend.llc import LLCOptions, run_llc
+from repro.frontend.tokens import TokenKind
 from repro.isa.instructions import (
+    _CALLS,
     _DEF_USE,
+    _READS_FLAGS,
+    _SETS_FLAGS,
+    NZCV,
     Cond,
     Label,
     MachineFunction,
@@ -27,6 +34,8 @@ from repro.isa.registers import (
     ALLOCATABLE_GPRS,
     CALLEE_SAVED_GPRS,
     ERROR_REG,
+    LR,
+    XZR,
     RegClass,
     VirtualRegisterAllocator,
     is_callee_saved,
@@ -35,6 +44,7 @@ from repro.isa.registers import (
     reg_class,
 )
 from repro.sim.cpu import _DECODERS
+from repro.workloads.appgen import AppSpec, generate_app
 
 
 class TestRegisters:
@@ -167,6 +177,101 @@ class TestExactIdentity:
                 setattr(instr, name, getattr(instr, name))
         moved = dataclasses.replace(instr, operands=(Sym("g"),))
         assert instr.callee() == "f" and moved.callee() == "g"
+
+
+def _reference_facts(instr):
+    """``(defs, uses)`` recomputed from ``_DEF_USE`` on every call, as the
+    uncached register facts were."""
+    def_idxs, use_idxs = _DEF_USE[instr.opcode]
+    ops = instr.operands
+    defs = [ops[i] for i in def_idxs if isinstance(ops[i], str)]
+    defs.extend(instr.implicit_defs)
+    if instr.opcode in _SETS_FLAGS:
+        defs.append(NZCV)
+    if instr.opcode in _CALLS:
+        defs.append(LR)
+    uses = [ops[i] for i in use_idxs if isinstance(ops[i], str)]
+    uses.extend(instr.implicit_uses)
+    if instr.opcode in _READS_FLAGS:
+        uses.append(NZCV)
+    if instr.opcode is Opcode.RET:
+        uses.append(LR)
+    return (tuple(r for r in defs if r != XZR),
+            tuple(r for r in uses if r != XZR))
+
+
+class TestRegisterFacts:
+    """``defs()`` and ``uses()`` are computed once per instruction object
+    and stored on it, but never reach a pickle or a copy."""
+
+    @pytest.mark.parametrize("target", ["arm64", "thumb2c"])
+    @pytest.mark.parametrize("rounds", [0, 3])
+    def test_facts_match_reference_on_a_generated_app(self, target, rounds):
+        from repro.pipeline import compile_frontend
+
+        lir = compile_frontend(generate_app(AppSpec(base_features=3)))
+        instrs = []
+        for module in lir.lir_modules:
+            machine = run_llc(module, LLCOptions(outline_rounds=rounds,
+                                                 target=target)).module
+            instrs.extend(_module_instrs(machine))
+        assert len(instrs) > 1000
+        if rounds:
+            assert any(i.callee() and "OUTLINED_FUNCTION_" in i.callee()
+                       for i in instrs)
+        for instr in instrs:
+            assert (instr.defs(), instr.uses()) == _reference_facts(instr), \
+                instr.render()
+
+    def test_second_call_returns_the_same_tuples(self):
+        for instr in (MachineInstr(Opcode.ADDXrr, ("x0", "x1", "x2")),
+                      MachineInstr(Opcode.BL, (Sym("f"),), ("x0",), ("x0",))):
+            assert instr.defs() is instr.defs()
+            assert instr.uses() is instr.uses()
+        cset = MachineInstr(Opcode.CSETXi, ("x0", Cond.EQ))
+        uses = cset.uses()  # the first call of either computes both
+        defs = cset.defs()
+        assert cset.uses() is uses and cset.defs() is defs
+
+    def test_cached_facts_reach_no_pickle_or_copy(self):
+        fields = sorted(f.name for f in dataclasses.fields(MachineInstr))
+        assert len(fields) == 4
+        instr = MachineInstr(Opcode.BL, (Sym("f"),), ("x0", "x1"), ("x0",))
+        before = pickle.dumps(instr)
+        instr.defs(), instr.uses()
+        assert pickle.dumps(instr) == before
+        for clone in (pickle.loads(before), copy.deepcopy(instr),
+                      copy.copy(instr)):
+            assert sorted(vars(clone)) == fields
+            assert clone == instr
+            assert _reference_facts(clone) == (instr.defs(), instr.uses())
+
+
+class TestIdentityHashing:
+    """Enum members hash by identity, in C: hashing one, or a key tuple
+    that holds them, calls no Python-level function."""
+
+    @staticmethod
+    def _python_calls(values):
+        calls = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            for value in values:
+                hash(value)
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    def test_hashing_enums_and_keys_runs_no_python(self):
+        keys = [MachineInstr(Opcode.CSETXi, ("x0", Cond.EQ)).key(),
+                MachineInstr(Opcode.ADDXri, ("x0", "x1", 4)).key()]
+        assert self._python_calls(
+            [Opcode.ADDXri, Cond.EQ, TokenKind.IDENT] + keys) == []
 
 
 def _one_object_per_key(instrs):

@@ -2,9 +2,11 @@
 repeated rounds, statistics pass."""
 
 import copy
+import dataclasses
 import itertools
 import math
 
+from repro.backend.llc import LLCOptions, run_llc
 from repro.isa.instructions import (
     Label,
     MachineFunction,
@@ -13,6 +15,8 @@ from repro.isa.instructions import (
     Sym,
 )
 from repro.isa.registers import FP, LR, SP
+from repro.outliner import candidates as candidates_mod
+from repro.outliner import repeated as repeated_mod
 from repro.outliner.candidates import (
     InstructionMapper,
     function_saves_lr,
@@ -27,6 +31,8 @@ from repro.outliner.stats import collect_patterns
 # AArch64 arithmetic, so they pin the arm64 spec rather than inheriting
 # the session default (which CI varies via REPRO_TARGET).
 from repro.target.arm64 import ARM64
+from repro.workloads.appgen import AppSpec, generate_app
+from tests.unit.test_isa import _one_object_per_key
 
 
 def mi(opcode, *operands, **kw):
@@ -116,6 +122,81 @@ class TestMapper:
             mi(Opcode.FMOVDi, "d2", 0.0)])
         ids = InstructionMapper().map_functions([fa]).ids
         assert ids[0] == ids[2] != ids[1]
+
+
+def _app_functions(rounds=0):
+    """The machine functions of a small generated app, as llc returns them
+    (interned: one object per distinct instruction)."""
+    from repro.pipeline import compile_frontend
+
+    lir = compile_frontend(generate_app(AppSpec(base_features=3)))
+    return [fn for module in lir.lir_modules
+            for fn in run_llc(module,
+                              LLCOptions(outline_rounds=rounds)).module.functions]
+
+
+def _reference_ids(functions):
+    """The integer string mapped index by index: every index classified
+    on its own, illegal ones (and block ends) drawing unique ids."""
+    intern, ids, unique = {}, [], itertools.count(-2, -1)
+    for fn in functions:
+        for block in fn.blocks:
+            for instr in block.instrs:
+                if is_legal_to_outline(instr):
+                    ids.append(intern.setdefault(instr.key(), len(intern) + 1))
+                else:
+                    ids.append(next(unique))
+            ids.append(next(unique))
+    return ids
+
+
+class TestMapperTable:
+    """The mapper classifies each instruction object once; the integer
+    string is the one an index-by-index classification gives."""
+
+    def test_interned_module_is_classified_once_per_object(self,
+                                                          monkeypatch):
+        functions = _app_functions()
+        instrs = [i for fn in functions for i in fn.instructions()]
+        distinct = len({id(i) for i in instrs})
+        assert distinct < len(instrs) // 2
+        calls = []
+
+        def counting(instr):
+            calls.append(instr)
+            return is_legal_to_outline(instr)
+
+        monkeypatch.setattr(candidates_mod, "is_legal_to_outline", counting)
+        program = InstructionMapper().map_functions(functions)
+        assert len(calls) == distinct
+        monkeypatch.undo()
+        assert program.ids == _reference_ids(functions)
+
+    def test_fresh_objects_map_to_the_same_ids(self):
+        functions = _app_functions()
+        fresh = copy.deepcopy(functions)
+        for fn in fresh:
+            for block in fn.blocks:
+                block.instrs = [dataclasses.replace(i) for i in block.instrs]
+        instrs = [i for fn in fresh for i in fn.instructions()]
+        assert len({id(i) for i in instrs}) == len(instrs)
+        ids = InstructionMapper().map_functions(functions).ids
+        assert InstructionMapper().map_functions(fresh).ids == ids
+        assert ids == _reference_ids(fresh)
+
+    def test_llc_outlines_an_interned_module(self, monkeypatch):
+        seen = []
+        outline = repeated_mod.repeated_outline
+
+        def spy(module, **kwargs):
+            seen.append(_one_object_per_key(
+                i for fn in module.functions for i in fn.instructions()))
+            return outline(module, **kwargs)
+
+        monkeypatch.setattr(repeated_mod, "repeated_outline", spy)
+        functions = _app_functions(rounds=2)
+        assert seen and all(seen)
+        assert any(fn.is_outlined for fn in functions)
 
 
 class TestSignedZeroProgram:

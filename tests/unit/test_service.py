@@ -5,6 +5,7 @@ service-level fault sites, and journal-backed restart recovery."""
 
 import io
 import json
+import socket
 import time
 from contextlib import contextmanager
 
@@ -460,6 +461,29 @@ class TestWireAuth:
         with self._server(tmp_path) as (service, _host, _port):
             path = BuildService.endpoint_path(service.config.state_dir)
             assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+
+
+class TestConnectionBurst:
+    """Every client of a burst gets through the handshake at once, even
+    while the accept loop is busy: none waits out the kernel's 1 s SYN
+    retry, which could turn a typed queue-full rejection into a late
+    admission once the blocking job has finished."""
+
+    def test_burst_beyond_the_default_backlog_connects(self, tmp_path):
+        service = BuildService(_service_config(tmp_path))
+        host, port = service.start_server()
+        service._server.shutdown()  # still listening, accepting nothing
+        conns = []
+        try:
+            for _ in range(16):  # socketserver's default backlog is 5
+                conn = socket.create_connection((host, port), timeout=0.5)
+                conns.append(conn)
+        finally:
+            for conn in conns:
+                conn.close()
+            service.stop_server()
+            service.journal.close()
+        assert len(conns) == 16
 
 
 class TestRecovery:
