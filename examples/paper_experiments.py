@@ -4,35 +4,21 @@
     python examples/paper_experiments.py                # all, tiny scale
     python examples/paper_experiments.py fig12_rounds   # one experiment
     REPRO_SCALE=small python examples/paper_experiments.py
+
+This is ``repro experiments`` with the scale read from ``REPRO_SCALE``
+instead of ``--scale``; the exit status is the command's.
 """
 
 import os
 import sys
-import time
 
-from repro.experiments import ALL_EXPERIMENTS
+from repro.__main__ import main as repro_main
 
 
-def main() -> None:
+def main() -> int:
     scale = os.environ.get("REPRO_SCALE", "tiny")
-    wanted = sys.argv[1:] or list(ALL_EXPERIMENTS)
-    for name in wanted:
-        module = ALL_EXPERIMENTS.get(name)
-        if module is None:
-            print(f"unknown experiment {name!r}; available: "
-                  f"{', '.join(ALL_EXPERIMENTS)}")
-            raise SystemExit(1)
-        print("=" * 72)
-        print(f"experiment: {name}")
-        print("=" * 72)
-        start = time.time()
-        kwargs = {}
-        if "scale" in module.run.__code__.co_varnames:
-            kwargs["scale"] = scale
-        result = module.run(**kwargs)
-        print(module.format_report(result))
-        print(f"[{time.time() - start:.1f}s]\n")
+    return repro_main(["experiments", "--scale", scale, *sys.argv[1:]])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -470,10 +470,6 @@ class MachineFunction:
     def num_instrs(self) -> int:
         return sum(len(blk.instrs) for blk in self.blocks)
 
-    @property
-    def size_bytes(self) -> int:
-        return self.num_instrs * INSTR_BYTES
-
     def render(self) -> str:
         lines = [f"define @{self.name} (module {self.source_module or '?'}):"]
         for blk in self.blocks:
@@ -501,16 +497,6 @@ class MachineGlobal:
     is_object: bool = False
     elem_is_float: bool = False
 
-    @property
-    def size_bytes(self) -> int:
-        from repro.runtime import layout as _layout
-
-        if isinstance(self.values, str):
-            return _layout.STRING_OBJECT_BYTES + 8 * max(1, len(self.values))
-        if self.is_object:
-            return _layout.ARRAY_OBJECT_BYTES + 8 * max(1, len(self.values))
-        return max(8, 8 * len(self.values))
-
 
 @dataclass
 class MachineModule:
@@ -529,14 +515,6 @@ class MachineModule:
     @property
     def num_instrs(self) -> int:
         return sum(fn.num_instrs for fn in self.functions)
-
-    @property
-    def text_bytes(self) -> int:
-        return sum(fn.size_bytes for fn in self.functions)
-
-    @property
-    def data_bytes(self) -> int:
-        return sum(g.size_bytes for g in self.globals)
 
 
 def intern_instrs(functions: Iterable[MachineFunction]) -> None:

@@ -19,7 +19,7 @@ restrict the candidate to classes that do not move SP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.isa.instructions import (
     MachineBlock,
@@ -47,27 +47,35 @@ def is_legal_to_outline(instr: MachineInstr) -> bool:
 
 
 @dataclass
-class MappedLocation:
-    """Where one mapped element lives."""
-
-    fn: MachineFunction
-    block: MachineBlock
-    index: int  # index within block.instrs
-
-
-@dataclass
 class MappedProgram:
-    """Flattened program: integer string + location of every element."""
+    """Flattened program: the integer string and a per-block location table.
+
+    Positions run block by block in program order, with one block-end
+    separator after each block.  ``blocks`` holds one ``(function, block,
+    first position)`` entry per block and ``block_of`` maps every position
+    (separators included) to its block's entry, so the table costs one
+    entry per block and one list slot per position, not one object per
+    position.  :meth:`locate` and :meth:`instr_seq` read the blocks
+    themselves: a round reads its program before it rewrites any block.
+    """
 
     ids: List[int] = field(default_factory=list)
-    locations: List[Optional[MappedLocation]] = field(default_factory=list)
-    instrs: List[Optional[MachineInstr]] = field(default_factory=list)
+    blocks: List[Tuple[MachineFunction, MachineBlock, int]] = field(
+        default_factory=list)
+    block_of: List[int] = field(default_factory=list)
     #: functions in which LR is live throughout (no frame, or outlined):
     #: only tail-call-class candidates may be taken from them.
     lr_live_functions: frozenset = frozenset()
 
+    def locate(self, pos: int) -> Tuple[MachineFunction, MachineBlock, int]:
+        """``(function, block, index within block.instrs)`` of *pos*."""
+        fn, block, first = self.blocks[self.block_of[pos]]
+        return fn, block, pos - first
+
     def instr_seq(self, start: int, length: int) -> List[MachineInstr]:
-        return [self.instrs[i] for i in range(start, start + length)]
+        """The *length* instructions from *start*, all in one block."""
+        _fn, block, first = self.blocks[self.block_of[start]]
+        return block.instrs[start - first:start - first + length]
 
 
 def function_saves_lr(fn: MachineFunction) -> bool:
@@ -79,12 +87,14 @@ def function_saves_lr(fn: MachineFunction) -> bool:
 
 
 class InstructionMapper:
-    """Builds the flat integer string for one outlining round.
+    """Builds the flat integer string of a program, once per round.
 
     Each instruction *object* is classified once per mapper: its legality
     and its legal id are facts of one immutable object, so an interned
     module (one object per distinct instruction) pays for them once per
-    distinct instruction, not once per index and round.
+    distinct instruction, not once per index.  One mapper serves every
+    round of a repeated-outlining call, so an object is classified once
+    per call, not once per round.
     """
 
     def __init__(self) -> None:
@@ -129,20 +139,17 @@ class InstructionMapper:
     def map_functions(self,
                       functions: Sequence[MachineFunction]) -> MappedProgram:
         program = MappedProgram()
+        ids, blocks, block_of = program.ids, program.blocks, program.block_of
         lr_live = set()
         for fn in functions:
             if fn.is_outlined or not function_saves_lr(fn):
                 lr_live.add(fn.name)
             for block in fn.blocks:
-                program.ids.extend(self.map_block(block.instrs))
-                program.locations.extend(
-                    MappedLocation(fn, block, index)
-                    for index in range(len(block.instrs)))
-                program.instrs.extend(block.instrs)
+                block_of.extend([len(blocks)] * (len(block.instrs) + 1))
+                blocks.append((fn, block, len(ids)))
+                ids.extend(self.map_block(block.instrs))
                 # Block boundary separator.
-                program.ids.append(self._unique_id())
-                program.locations.append(None)
-                program.instrs.append(None)
+                ids.append(self._unique_id())
         program.lr_live_functions = frozenset(lr_live)
         return program
 

@@ -18,11 +18,8 @@ from typing import List, Optional
 
 from repro.isa.instructions import MachineFunction, MachineModule
 from repro.obs import trace
-from repro.outliner.machine_outliner import (
-    OutlineIndex,
-    RoundStats,
-    run_one_round,
-)
+from repro.outliner.candidates import InstructionMapper
+from repro.outliner.machine_outliner import RoundStats, run_one_round
 from repro.target.spec import TargetSpec
 
 
@@ -41,31 +38,27 @@ class OutlineRoundStats:
 
 def repeated_outline(module: MachineModule, rounds: int = 5,
                      name_counter=None, name_prefix: str = "",
-                     target: Optional[TargetSpec] = None,
-                     incremental: Optional[bool] = None) -> List[OutlineRoundStats]:
+                     target: Optional[TargetSpec] = None) -> List[OutlineRoundStats]:
     """Run up to *rounds* outlining rounds over a whole machine module."""
     return repeated_outline_functions(module.functions, rounds,
-                                      name_counter, name_prefix, target,
-                                      incremental)
+                                      name_counter, name_prefix, target)
 
 
 def repeated_outline_functions(functions: List[MachineFunction],
                                rounds: int = 5, name_counter=None,
                                name_prefix: str = "",
-                               target: Optional[TargetSpec] = None,
-                               incremental: Optional[bool] = None) -> List[OutlineRoundStats]:
+                               target: Optional[TargetSpec] = None) -> List[OutlineRoundStats]:
     """Outline repeatedly; later rounds match calls into earlier rounds.
 
-    ``incremental`` reuses one :class:`OutlineIndex` (persistent mapper +
-    online suffix tree) across rounds instead of rebuilding both from
-    scratch each round; results are bit-identical either way.  Defaults to
-    on for multi-round runs, where the reuse pays for itself.
+    Every round builds a fresh suffix tree over the program as the round
+    before left it.  One :class:`InstructionMapper` serves all rounds, so
+    each instruction object is classified once per call: instructions are
+    immutable, and the mapper's table holds every object it has seen, so
+    no object id is reused while it lives.
     """
     if name_counter is None:
         name_counter = itertools.count(0)
-    if incremental is None:
-        incremental = rounds > 1
-    index = OutlineIndex() if incremental else None
+    mapper = InstructionMapper()
     cumulative: List[OutlineRoundStats] = []
     total_seqs = 0
     total_fns = 0
@@ -77,7 +70,7 @@ def repeated_outline_functions(functions: List[MachineFunction],
                         round_no=round_no, prefix=name_prefix) as span:
             stats = run_one_round(functions, name_counter, round_no=round_no,
                                   name_prefix=name_prefix, target=target,
-                                  index=index)
+                                  mapper=mapper)
             span.annotate(candidates=stats.candidates_considered,
                           sequences_outlined=stats.sequences_outlined,
                           functions_created=stats.functions_created,

@@ -73,11 +73,8 @@ def collect_patterns(functions: Sequence[MachineFunction],
         benefit = cost.benefit(len(starts))
         if require_profitable and benefit < 1:
             continue
-        names: List[str] = []
-        for s in starts[:max_function_names]:
-            loc = program.locations[s]
-            if loc is not None:
-                names.append(loc.fn.name)
+        names = [program.blocks[program.block_of[s]][0].name
+                 for s in starts[:max_function_names]]
         stats.append(PatternStat(
             pattern_id=0, length=length, num_candidates=len(starts),
             outline_class=cost.outline_class, benefit_bytes=benefit,

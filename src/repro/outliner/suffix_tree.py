@@ -51,50 +51,26 @@ class RepeatedSubstring:
 class SuffixTree:
     """Ukkonen suffix tree over ``seq`` (a list of ints).
 
-    Construction is *online*: Ukkonen's algorithm processes the input one
-    symbol at a time, so the tree also supports :meth:`extend` — appending
-    more symbols after construction.  The incremental outliner feeds each
-    basic block in as a segment ending with a unique sentinel and queries
-    via :meth:`live_repeated_substrings`; rewritten blocks are appended
-    again rather than rebuilding the whole tree.
+    The tree is built once, from the whole sequence plus a unique
+    terminator (so every suffix ends at a leaf), and never extended
+    afterwards: repeated outlining builds a fresh tree each round, over
+    the program as the previous round left it (§V-B).
     """
 
-    def __init__(self, seq: Optional[List[int]] = None):
-        self.seq: List[int] = []
+    def __init__(self, seq: Sequence[int]):
+        self.seq: List[int] = list(seq)
+        self.seq.append(_END_SYMBOL_BASE)
         self.root = _Node(-1, -1, 0)
-        #: Every internal node, root first, indexed by ``_Node.index``.
-        self._internal: List[_Node] = [self.root]
-        self._active_node = self.root
-        self._active_edge = -1  # index into seq of the edge's first symbol
-        self._active_length = 0
-        self._remainder = 0
-        self._leaf_end = -1
-        if seq is not None:
-            self.extend(seq)
-            # Unique terminator so every suffix ends at a leaf.
-            self.extend((_END_SYMBOL_BASE,))
-
-    # -- construction -----------------------------------------------------
-
-    def extend(self, symbols: Sequence[int]) -> None:
-        """Append *symbols* to the indexed text.
-
-        Every complete suffix becomes explicit as soon as a never-seen
-        symbol (a unique sentinel) is fed in, so callers that terminate
-        each appended segment with one may query immediately after.
-        """
         seq = self.seq
         root = self.root
-        internal = self._internal
-        active_node = self._active_node
-        active_edge = self._active_edge
-        active_length = self._active_length
-        remainder = self._remainder
+        # Every internal node, root first, indexed by ``_Node.index``.
+        internal: List[_Node] = [root]
+        active_node = root
+        active_edge = -1  # index into seq of the edge's first symbol
+        active_length = 0
+        remainder = 0
 
-        for symbol in symbols:
-            seq.append(symbol)
-            i = len(seq) - 1
-            self._leaf_end = i
+        for i, symbol in enumerate(seq):
             remainder += 1
             last_internal: Optional[_Node] = None
             while remainder > 0:
@@ -110,7 +86,9 @@ class SuffixTree:
                         last_internal.link = active_node.index
                         last_internal = None
                 else:
-                    edge_len = self._edge_length(child)
+                    # A leaf's edge runs to the symbol being inserted.
+                    end = i + 1 if child.end is None else child.end
+                    edge_len = end - child.start
                     if active_length >= edge_len:
                         active_edge += edge_len
                         active_length -= edge_len
@@ -141,15 +119,6 @@ class SuffixTree:
                 elif active_node is not root:
                     active_node = internal[active_node.link]
 
-        self._active_node = active_node
-        self._active_edge = active_edge
-        self._active_length = active_length
-        self._remainder = remainder
-
-    def _edge_length(self, node: _Node) -> int:
-        end = node.end if node.end is not None else self._leaf_end + 1
-        return end - node.start
-
     # -- queries -----------------------------------------------------------
 
     def repeated_substrings(self, min_len: int = 2,
@@ -171,7 +140,8 @@ class SuffixTree:
                 continue
             stack.append((node, depth, True))
             for child in node.children.values():
-                stack.append((child, depth + self._edge_length(child), False))
+                end = n if child.end is None else child.end
+                stack.append((child, depth + end - child.start, False))
         # Post-order: accumulate leaf suffix starts upward.
         for node, depth in order:
             if not node.children:
@@ -190,57 +160,6 @@ class SuffixTree:
                 starts = [s for s in acc if s + depth <= n - 1]
                 if len(starts) >= 2:
                     yield RepeatedSubstring(length=depth, starts=sorted(starts))
-
-    def live_repeated_substrings(
-            self, live: Sequence[int], min_len: int = 2,
-            max_len: int = 2048) -> Iterator[RepeatedSubstring]:
-        """Repeated substrings of the *live* sub-text of the history.
-
-        ``live`` flags each history position (1 = current, 0 = superseded).
-        When every appended segment ends with its own unique sentinel, no
-        repeat can cross a segment boundary, and this yields exactly the
-        internal-node set a fresh tree over the concatenation of live
-        segments would yield: a history node survives only if >= 2 live
-        occurrences remain *and* they still branch right (>= 2 distinct
-        following symbols) — dead occurrences may have been the only
-        reason the node existed.
-        """
-        n = len(self.seq)
-        seq = self.seq
-        stack: List[Tuple[_Node, int, bool]] = [(self.root, 0, False)]
-        leaves_of: Dict[int, List[int]] = {}
-        order: List[Tuple[_Node, int]] = []
-        while stack:
-            node, depth, processed = stack.pop()
-            if processed:
-                order.append((node, depth))
-                continue
-            stack.append((node, depth, True))
-            for child in node.children.values():
-                stack.append((child, depth + self._edge_length(child), False))
-        for node, depth in order:
-            if not node.children:
-                leaves_of[id(node)] = [n - depth]
-                continue
-            acc: List[int] = []
-            for child in node.children.values():
-                acc.extend(leaves_of.pop(id(child), ()))
-            leaves_of[id(node)] = acc
-            if node is self.root:
-                continue
-            if depth < min_len or depth > max_len:
-                continue
-            if len(acc) < 2:
-                continue
-            starts = [s for s in acc if s + depth <= n - 1 and live[s]]
-            if len(starts) < 2:
-                continue
-            if len(starts) < len(acc):
-                # Dead occurrences may have carried the branching; an
-                # all-live node branches by construction.
-                if len({seq[s + depth] for s in starts}) < 2:
-                    continue
-            yield RepeatedSubstring(length=depth, starts=sorted(starts))
 
 
 def naive_repeated_substrings(seq: List[int], min_len: int = 2,

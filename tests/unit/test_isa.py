@@ -21,7 +21,6 @@ from repro.isa.instructions import (
     Label,
     MachineFunction,
     MachineInstr,
-    MachineModule,
     Opcode,
     Sym,
     intern_instrs,
@@ -352,9 +351,6 @@ class TestContainers:
     def test_size_accounting(self):
         fn = self._function()
         assert fn.num_instrs == 3
-        assert fn.size_bytes == 12
-        module = MachineModule(name="m", functions=[fn])
-        assert module.text_bytes == 12
 
     def test_size_helpers_on_spec(self):
         from repro.target.arm64 import ARM64

@@ -6,6 +6,8 @@ import dataclasses
 import itertools
 import math
 
+import pytest
+
 from repro.backend.llc import LLCOptions, run_llc
 from repro.isa.instructions import (
     Label,
@@ -124,15 +126,18 @@ class TestMapper:
         assert ids[0] == ids[2] != ids[1]
 
 
-def _app_functions(rounds=0):
-    """The machine functions of a small generated app, as llc returns them
+def _app_modules(rounds=0):
+    """The machine modules of a small generated app, as llc returns them
     (interned: one object per distinct instruction)."""
     from repro.pipeline import compile_frontend
 
     lir = compile_frontend(generate_app(AppSpec(base_features=3)))
-    return [fn for module in lir.lir_modules
-            for fn in run_llc(module,
-                              LLCOptions(outline_rounds=rounds)).module.functions]
+    return [run_llc(module, LLCOptions(outline_rounds=rounds)).module
+            for module in lir.lir_modules]
+
+
+def _app_functions(rounds=0):
+    return [fn for module in _app_modules(rounds) for fn in module.functions]
 
 
 def _reference_ids(functions):
@@ -184,6 +189,35 @@ class TestMapperTable:
         assert InstructionMapper().map_functions(fresh).ids == ids
         assert ids == _reference_ids(fresh)
 
+    def test_repeated_outline_classifies_each_object_once(self,
+                                                          monkeypatch):
+        """One mapper serves every round of a call: each object it maps,
+        including the call sites and bodies earlier rounds made, is
+        classified once per call, not once per round."""
+        map_block = InstructionMapper.map_block
+        mapped, calls = {}, []
+
+        def recording(self, instrs):
+            mapped.update((id(i), i) for i in instrs)
+            return map_block(self, instrs)
+
+        def counting(instr):
+            calls.append(instr)
+            return is_legal_to_outline(instr)
+
+        rounds_run = []
+        for module in _app_modules():
+            mapped.clear()
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(InstructionMapper, "map_block", recording)
+                patch.setattr(candidates_mod, "is_legal_to_outline", counting)
+                stats = repeated_mod.repeated_outline(module, rounds=5)
+            rounds_run.append(len(stats))
+            assert len(calls) == len(mapped), module.name
+            assert len({id(i) for i in calls}) == len(calls), module.name
+        assert max(rounds_run) >= 3
+
     def test_llc_outlines_an_interned_module(self, monkeypatch):
         seen = []
         outline = repeated_mod.repeated_outline
@@ -224,15 +258,20 @@ class TestSignedZeroProgram:
                    and instr.operands[1] == 0.0
                    and math.copysign(1.0, instr.operands[1]) < 0)
 
-    def test_outlining_keeps_negative_zero_constants(self):
+    @pytest.mark.parametrize("merge_mode", ["off", "exact", "optimistic"])
+    def test_outlining_keeps_negative_zero_constants(self, merge_mode):
         from repro.pipeline import BuildConfig, build_program, run_build
 
-        plain = build_program({"Main": self.SOURCE},
-                              BuildConfig(outline_rounds=0))
-        outlined = build_program({"Main": self.SOURCE},
-                                 BuildConfig(outline_rounds=1))
-        assert self._negative_zeros(plain.image) == 2
-        assert self._negative_zeros(outlined.image) == 2
+        # Merging folds the identical n1 and n2 (and p1 and p2) into one
+        # body each, so one -0.0 constant is left before any outlining;
+        # outlining must keep as many as it was given.
+        negative_zeros = 2 if merge_mode == "off" else 1
+        plain = build_program({"Main": self.SOURCE}, BuildConfig(
+            outline_rounds=0, merge_mode=merge_mode))
+        outlined = build_program({"Main": self.SOURCE}, BuildConfig(
+            outline_rounds=1, merge_mode=merge_mode))
+        assert self._negative_zeros(plain.image) == negative_zeros
+        assert self._negative_zeros(outlined.image) == negative_zeros
         assert any(ext.is_outlined for ext in outlined.image.functions)
         assert run_build(outlined).output == run_build(plain).output
 
@@ -370,7 +409,7 @@ class TestStats:
         top = stats[0]
         assert top.num_candidates == 4
         assert top.pattern_id == 1
-        assert top.functions  # names recorded
+        assert top.functions == ("f0", "f1", "f2", "f3")
 
     def test_collect_is_readonly(self):
         fns = [framed_function(f"f{k}", seq(1, 2, 3) + seq(30 + k))
